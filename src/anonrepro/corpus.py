@@ -115,6 +115,14 @@ def available() -> list[str]:
     return [name for name, _ in _iter_sources()]
 
 
+def _parse(text: str, source: str) -> CorpusEntry:
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise OracleError(f"oracle file {source!r} is not valid JSON: {exc}") from exc
+    return entry_from_json(raw)
+
+
 def load(name_or_path: str) -> CorpusEntry:
     """Load one entry by corpus name or by path to an entry file."""
     candidate = Path(name_or_path)
@@ -123,14 +131,14 @@ def load(name_or_path: str) -> CorpusEntry:
             text = candidate.read_text()
         except OSError as exc:
             raise OracleError(f"cannot read oracle file {name_or_path!r}: {exc}") from exc
-        return entry_from_json(json.loads(text))
+        return _parse(text, name_or_path)
     for name, read_text in _iter_sources():
         if name == name_or_path:
-            return entry_from_json(json.loads(read_text()))
+            return _parse(read_text(), f"{name}.json")
     raise OracleError(
         f"no corpus entry named {name_or_path!r}; available: {', '.join(available())}"
     )
 
 
 def load_all() -> list[CorpusEntry]:
-    return [entry_from_json(json.loads(read())) for _, read in _iter_sources()]
+    return [_parse(read(), f"{name}.json") for name, read in _iter_sources()]

@@ -331,6 +331,8 @@ class VerificationResult:
 
 def acceptance_region(trials: int, probability: float) -> tuple[int, int]:
     """Central 99% acceptance region for Binomial(trials, probability)."""
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError(f"probability must lie in [0, 1], got {probability!r}")
     lower = int(binom.ppf(0.005, trials, probability))
     upper = int(binom.ppf(0.995, trials, probability))
     return lower, upper

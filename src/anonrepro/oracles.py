@@ -16,11 +16,13 @@ strings only when short over a small alphabet).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Union
+from fractions import Fraction
+from typing import Any, Callable, Iterable, Mapping, Union
 
 from .errors import (
     EnumerationInfeasibleError,
@@ -54,7 +56,6 @@ from .techniques import (
     TechniqueConfig,
     global_recoding_anonymize,
     integer_bounds,
-    noise_interval,
     rounding_anonymize,
 )
 
@@ -365,9 +366,10 @@ def evaluate(oracle: BugOracle, assignment: Mapping[str, DataValue]) -> bool:
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """A finite support with outcome probabilities (sums to 1)."""
+    """A finite support with outcome probabilities (sums to 1): exact
+    ``Fraction``s from technique_distribution, or floats read exactly."""
 
-    outcomes: tuple[tuple[DataValue, float], ...]
+    outcomes: tuple[tuple[DataValue, Fraction | float], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -378,7 +380,7 @@ class FiniteDistribution:
 
 def _uniform(values: Iterable[DataValue]) -> FiniteDistribution:
     vals = list(values)
-    p = 1.0 / len(vals)
+    p = Fraction(1, len(vals))
     return FiniteDistribution(tuple((v, p) for v in vals))
 
 
@@ -398,10 +400,9 @@ def _string_support(
         raise EnumerationInfeasibleError(
             f"strings of length {max(lengths)} are too long to enumerate"
         )
-    outcomes: list[tuple[DataValue, float]] = []
-    length_weight = 1.0 / len(lengths)
+    outcomes: list[tuple[DataValue, Fraction]] = []
     for length in lengths:
-        string_weight = length_weight / len(alphabet) ** length
+        string_weight = Fraction(1, len(lengths) * len(alphabet) ** length)
         for chars in itertools.product(alphabet, repeat=length):
             outcomes.append((Text("".join(chars)), string_weight))
     return FiniteDistribution(tuple(outcomes))
@@ -410,20 +411,20 @@ def _string_support(
 def _noise_int_distribution(
     value: float, domain: NumericDomain, noise: float
 ) -> FiniteDistribution:
-    lo, hi = noise_interval(value, domain, noise)
-    width = hi - lo
+    # noise_interval in exact arithmetic, with the noise read as its decimal
+    noise_q, value_q = Fraction(repr(noise)), Fraction(value)
+    lo = value_q - noise_q * (value_q - Fraction(domain.min))
+    hi = value_q + noise_q * (Fraction(domain.max) - value_q)
     lo_d, hi_d = integer_bounds(domain.min, domain.max, domain.max_inclusive)
-    masses: dict[int, float] = defaultdict(float)
+    masses: dict[int, Fraction] = defaultdict(Fraction)
+    half = Fraction(1, 2)
     # round half-up maps x to j iff x is in [j - 0.5, j + 0.5)
-    for j in range(math.floor(lo + 0.5), math.floor(hi + 0.5) + 1):
-        overlap = min(hi, j + 0.5) - max(lo, j - 0.5)
+    for j in range(math.floor(lo + half), math.floor(hi + half) + 1):
+        overlap = min(hi, j + half) - max(lo, j - half)
         if overlap > 0:
-            masses[min(max(j, lo_d), hi_d)] += overlap / width
-    total = math.fsum(masses.values())
+            masses[min(max(j, lo_d), hi_d)] += overlap / (hi - lo)
     return FiniteDistribution(
-        tuple(
-            (Continuous(float(j), 0), p / total) for j, p in sorted(masses.items())
-        )
+        tuple((Continuous(float(j), 0), p) for j, p in sorted(masses.items()))
     )
 
 
@@ -438,7 +439,7 @@ def technique_distribution(
     """
     if isinstance(cfg, RoundingConfig):
         record = rounding_anonymize(value, domain, cfg)
-        return FiniteDistribution(((record.value, 1.0),))  # type: ignore[union-attr]
+        return FiniteDistribution(((record.value, Fraction(1)),))  # type: ignore[union-attr]
     if isinstance(domain, NumericDomain) and not domain.integer:
         raise EnumerationInfeasibleError(
             "real-valued domains have no finite enumeration"
@@ -478,36 +479,92 @@ def technique_distribution(
     )
 
 
+def _fields_of(expr: OracleExpr) -> frozenset[str]:
+    """Names of the fields a predicate reads."""
+    if isinstance(expr, (And, Or)):
+        return frozenset().union(*map(_fields_of, expr.args))
+    if isinstance(expr, Not):
+        return _fields_of(expr.arg)
+    if isinstance(expr, IsLeapDay):
+        return frozenset((expr.day, expr.month, expr.year))
+    return frozenset((expr.field,))
+
+
+def _components(expr: And | Or) -> list[OracleExpr]:
+    """Split an and/or into sub-predicates over pairwise disjoint fields."""
+    groups: list[tuple[frozenset[str], list[OracleExpr]]] = []
+    for arg in expr.args:
+        fields, members = _fields_of(arg), [arg]
+        for group in [g for g in groups if not g[0].isdisjoint(fields)]:
+            groups.remove(group)
+            fields, members = fields | group[0], group[1] + members
+        groups.append((fields, members))
+    return [m[0] if len(m) == 1 else type(expr)(tuple(m)) for _, m in groups]
+
+
+def _joint(fields: list[str], test: Callable[[dict], bool], weights: Mapping) -> Fraction:
+    """Mass of the joint points of ``fields`` that pass ``test``."""
+    assignment: dict[str, DataValue] = {}
+    total = 0
+    for combo in itertools.product(*(weights[f][1] for f in fields)):
+        weight = 1
+        for name, (value, numerator) in zip(fields, combo):
+            assignment[name] = value
+            weight *= numerator
+        if test(assignment):
+            total += weight
+    return Fraction(total, math.prod(weights[f][0] for f in fields))
+
+
+def _probability(expr: OracleExpr, weights: Mapping) -> Fraction:
+    """Exact probability of ``expr``, factorized over independent fields."""
+    if isinstance(expr, Not):
+        return 1 - _probability(expr.arg, weights)
+    if isinstance(expr, IsLeapDay) and len(_fields_of(expr)) == 3:
+        tests = {expr.day: lambda x: x == 29, expr.month: lambda x: x == 2,
+                 expr.year: lambda x: is_gregorian_leap_year(int(x))}
+        return math.prod(_joint([f], lambda a, f=f: tests[f](_number(a[f], f)), weights)
+                         for f in tests)
+    if isinstance(expr, (And, Or)) and len(split := _components(expr)) > 1:
+        parts = [_probability(part, weights) for part in split]
+        if isinstance(expr, And):
+            return math.prod(parts)
+        return 1 - math.prod(1 - p for p in parts)
+    fields = [f for f in weights if f in _fields_of(expr)]
+    return _joint(fields, functools.partial(evaluate_expr, expr), weights)
+
+
+def _integer_weights(outcomes: tuple) -> tuple[int, list[tuple[DataValue, int]]]:
+    """A support's common weight denominator and its (value, numerator) pairs."""
+    # supports share weight objects, so convert each distinct object once
+    exact = {k: Fraction(p) for k, p in {id(p): p for _, p in outcomes}.items()}
+    denominator = math.lcm(*(w.denominator for w in exact.values()))
+    numerators = {k: w.numerator * (denominator // w.denominator) for k, w in exact.items()}
+    return denominator, [(value, numerators[id(p)]) for value, p in outcomes]
+
+
 def exhaustive_probability(
     oracle: BugOracle, distributions: Mapping[str, FiniteDistribution]
 ) -> float:
     """Exact trigger probability of the oracle under per-field distributions.
 
-    Every oracle field needs a distribution; the joint support must stay
-    within ENUMERATION_LIMIT points.
+    Every oracle field needs a distribution; the joint support of all fields
+    must stay within ENUMERATION_LIMIT points.  The probability is a rational
+    rounded once to float; only the fields the predicate reads are enumerated.
     """
-    supports: list[tuple[tuple[DataValue, float], ...]] = []
     for name, _ in oracle.fields:
         if name not in distributions:
             raise EvaluationError(f"no distribution for oracle field {name!r}")
-        supports.append(distributions[name].outcomes)
-    size = math.prod(len(s) for s in supports)
+    size = math.prod(len(distributions[n].outcomes) for n in oracle.field_names)
     if size > ENUMERATION_LIMIT:
         raise EnumerationInfeasibleError(
             f"joint support of {size} points exceeds the {ENUMERATION_LIMIT} cap"
         )
-    names = oracle.field_names
-    predicate = oracle.predicate
-    assignment: dict[str, DataValue] = {}
-    total = 0.0
-    for combo in itertools.product(*supports):
-        probability = 1.0
-        for name, (value, p) in zip(names, combo):
-            assignment[name] = value
-            probability *= p
-        if evaluate_expr(predicate, assignment):
-            total += probability
-    return total
+    read = _fields_of(oracle.predicate)
+    weights = {name: _integer_weights(distributions[name].outcomes)
+               for name in oracle.field_names if name in read}
+    exact = _probability(oracle.predicate, weights)
+    return float(min(max(exact, 0), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -752,9 +752,20 @@ def record_from_json(raw: Any) -> AnonymizedRecord:
             domain = domain_from_json(raw["domain"])
             if not isinstance(domain, StringDomain):
                 raise TraceParseError("special_chars records need a string domain")
+            specials = raw["specials"]
+            if not isinstance(specials, str) or not set(specials) <= set(domain.alphabet):
+                raise TraceParseError(
+                    f"special_chars specials {specials!r} fall outside the domain "
+                    f"alphabet {domain.char_class}"
+                )
+            if len(specials) > domain.length_max:
+                raise TraceParseError(
+                    f"special_chars record holds {len(specials)} specials, more than "
+                    f"the domain's length_max {domain.length_max}"
+                )
             return SpecialChars(
                 domain=domain,
-                specials=raw["specials"],
+                specials=specials,
                 length_hint=raw.get("length_hint"),
             )
         if kind == "interval_group":

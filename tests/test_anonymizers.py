@@ -445,6 +445,19 @@ def test_record_from_json_rejects_garbage():
         record_from_json({"value": 4})
 
 
+
+@pytest.mark.parametrize("specials, message", [
+    ("/", "alphabet"),      # "/" is special but not in [0-9:]
+    ("::::", "length_max"),  # four specials cannot fit three characters
+])
+def test_record_from_json_rejects_impossible_special_chars(specials, message):
+    raw = {"record": "special_chars",
+           "domain": {"kind": "string", "char_class": "[0-9:]",
+                      "length_min": 1, "length_max": 3},
+           "specials": specials}
+    with pytest.raises(TraceParseError, match=message):
+        record_from_json(raw)
+
 def test_record_validation():
     with pytest.raises(ValidationError):
         IntervalGroup(REAL, 5.0, 5.0, hi_inclusive=False)

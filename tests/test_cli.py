@@ -163,6 +163,27 @@ def test_regenerate_runtime_failure_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+
+def test_regenerate_rejects_impossible_special_chars(tmp_path, capsys):
+    bad = {
+        "events": [{
+            "action": "type", "widget": "duration",
+            "record": {
+                "record": "special_chars",
+                "domain": {"kind": "string", "char_class": "[0-9:]",
+                           "length_min": 1, "length_max": 5},
+                "specials": "/",
+            },
+        }]
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code = cli.main([
+        "regenerate", "--trace", str(path), "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == 1
+    assert "alphabet" in capsys.readouterr().err
+
 @pytest.mark.parametrize("argv", [
     ["anonymize", "--trace", "/nonexistent.json", "--config", "/c.json", "--out", "/o"],
     ["report", "--in", "/nonexistent.csv"],
@@ -277,6 +298,16 @@ def test_simulate_rejects_unknown_oracle(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 1
     assert "not_a_bug" in capsys.readouterr().err
 
+
+
+def test_simulate_names_a_malformed_oracle_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text('{"name": "broken",\n')
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"oracles": ["broken.json"]}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert "broken.json" in err and "unexpected" not in err
 
 def test_report_renders_tables(tmp_path, capsys):
     cfg = run_config(tmp_path, oracles=["tasks"], trials=40)

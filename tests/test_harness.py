@@ -293,6 +293,12 @@ def test_acceptance_region_edges():
     assert 0 < lower < 25 / 37200 * 100000 < upper
 
 
+
+@pytest.mark.parametrize("probability", [float("nan"), -0.1, 1.0000000000029996])
+def test_acceptance_region_rejects_bad_probability(probability):
+    with pytest.raises(ValueError, match="probability"):
+        acceptance_region(1000, probability)
+
 def test_verify_propagates_infeasible_domains():
     from anonrepro.errors import EnumerationInfeasibleError
 

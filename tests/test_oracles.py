@@ -1,11 +1,13 @@
 """Predicate semantics, exact enumeration, and the built-in corpus."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anonrepro import corpus
 from anonrepro.errors import (
@@ -344,6 +346,89 @@ def test_exhaustive_probability_requires_all_fields_and_respects_cap():
         exhaustive_probability(
             oracle, {"day": day_big, "month": day_big, "year": big}
         )
+
+
+def enumerable_corpus_probabilities():
+    """Exact probability of every bundled entry x config that enumerates."""
+    exact = {}
+    for entry in corpus.load_all():
+        for index, cfg in enumerate(entry.configs):
+            try:
+                distributions = {
+                    name: technique_distribution(cfg, entry.original_assignment[name], domain)
+                    for name, domain in entry.oracle.fields
+                }
+                probability = exhaustive_probability(entry.oracle, distributions)
+            except EnumerationInfeasibleError:
+                continue
+            for name, dist in distributions.items():  # exact weights, exact total
+                assert sum(p for _, p in dist.outcomes) == 1, (entry.name, index, name)
+            exact[f"{entry.name}#{index}"] = (probability, cfg)
+    return exact
+
+
+def test_corpus_enumeration_is_exact():
+    exact = enumerable_corpus_probabilities()
+    assert len(exact) >= 55
+    for key, (probability, cfg) in exact.items():
+        assert 0.0 <= probability <= 1.0, key
+        if isinstance(cfg, RoundingConfig):
+            assert probability in (0.0, 1.0), key
+    assert exact["birday#0"][0] == float(Fraction(25, 37200))
+    assert exact["did_i_take_my_meds#0"][0] == 0.5
+    for key in ("did_i_take_my_meds#1", "did_i_take_my_meds#3",
+                "catima_loyalty_2#2", "simple_calendar#2"):
+        assert exact[key][0] == 1.0, key
+
+
+SMALL = NumericDomain(0, 4, integer=True)
+
+
+@st.composite
+def _small_int_distributions(draw, names):
+    distributions = {}
+    for name in names:
+        values = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(values),
+                                max_size=len(values)))
+        distributions[name] = FiniteDistribution(tuple(
+            (Continuous(v), Fraction(w, sum(weights))) for v, w in zip(values, weights)
+        ))
+    return distributions
+
+
+def _predicates(names):
+    field = st.sampled_from(names)
+    leaves = st.one_of(
+        st.builds(lambda f, a, b: InRange(f, min(a, b), max(a, b)),
+                  field, st.integers(0, 4), st.integers(0, 4)),
+        st.builds(Equals, field, st.integers(0, 4)),
+    )
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(And, st.lists(children, min_size=1, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(children, min_size=1, max_size=3).map(tuple)),
+    ), max_leaves=8)
+
+
+@st.composite
+def _oracle_cases(draw):
+    names = [f"f{i}" for i in range(draw(st.integers(2, 4)))]
+    oracle = BugOracle("random", tuple((n, SMALL) for n in names),
+                       draw(_predicates(names)))
+    return oracle, draw(_small_int_distributions(names))
+
+
+@given(_oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_factorized_enumeration_equals_joint_sum(case):
+    oracle, distributions = case
+    names = oracle.field_names
+    brute = Fraction(0)
+    for combo in itertools.product(*(distributions[n].outcomes for n in names)):
+        if evaluate(oracle, {n: value for n, (value, _) in zip(names, combo)}):
+            brute += math.prod(weight for _, weight in combo)
+    assert exhaustive_probability(oracle, distributions) == float(brute)
 
 
 # ---------------------------------------------------------------------------
