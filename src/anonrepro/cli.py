@@ -35,7 +35,14 @@ from .harness import (
     run_trials,
     verify_against_bruteforce,
 )
-from .model import Event, FailureTrace, parse_trace, serialize_trace
+from .model import (
+    Event,
+    FailureTrace,
+    check_type,
+    event_from_json,
+    parse_trace,
+    serialize_trace,
+)
 from .rng import substream
 from .techniques import (
     TechniqueConfig,
@@ -51,6 +58,19 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TRIALS = 100
 VERIFY_MIN_TRIALS = 100_000
+
+#: Run config keys and their defaults; a ``simulate`` flag of the same name
+#: overrides the file.  A non-None default also fixes the key's JSON type.
+_RUN_DEFAULTS: dict[str, Any] = {
+    "oracles": None,
+    "techniques": None,
+    "trials": DEFAULT_TRIALS,
+    "seed": 0,
+    "confidence": DEFAULT_CONFIDENCE,
+    "workers": 1,
+    "format": "csv",
+    "verify": False,
+}
 
 
 def _read_text(path: str) -> str:
@@ -80,25 +100,23 @@ def _write_text(path: Path, text: str) -> None:
 # anonymize / regenerate
 
 
-def _widget_configs(raw: Any) -> tuple[TechniqueConfig | None, dict[str, TechniqueConfig]]:
-    """A config file is one technique object or {"widgets": {name: object}}."""
-    if isinstance(raw, dict) and "widgets" in raw:
-        if not isinstance(raw["widgets"], dict):
-            raise ConfigError("'widgets' must map widget names to technique configs")
-        return None, {
-            name: config_from_json(cfg) for name, cfg in raw["widgets"].items()
-        }
-    return config_from_json(raw), {}
+def _config_or_map(raw: Any, key: str) -> TechniqueConfig | dict[str, TechniqueConfig]:
+    """One technique object, or ``{key: {name: technique object}}``."""
+    if isinstance(raw, dict) and key in raw:
+        if not isinstance(raw[key], dict):
+            raise ConfigError(f"{key!r} must map names to technique configs")
+        return {name: config_from_json(cfg) for name, cfg in raw[key].items()}
+    return config_from_json(raw)
 
 
 def cmd_anonymize(args: argparse.Namespace) -> int:
     trace = parse_trace(_read_text(args.trace))
-    default, per_widget = _widget_configs(_read_json(args.config))
+    configs = _config_or_map(_read_json(args.config), "widgets")
     events_out: list[dict[str, Any]] = []
     for index, event in enumerate(trace.events):
         item: dict[str, Any] = {"action": event.action, "widget": event.widget}
         if event.data is not None:
-            cfg = per_widget.get(event.widget, default)
+            cfg = configs.get(event.widget) if isinstance(configs, dict) else configs
             if cfg is None:
                 raise ConfigError(
                     f"no technique configured for widget {event.widget!r}"
@@ -121,28 +139,17 @@ def cmd_regenerate(args: argparse.Namespace) -> int:
         raise TraceParseError("a trace is an object with an 'events' array")
     events: list[Event] = []
     for index, item in enumerate(raw["events"]):
-        if not isinstance(item, dict):
-            raise TraceParseError(f"event {index}: expected an object")
-        if "data" in item:
+        if isinstance(item, dict) and "data" in item:
             raise ValidationError(
                 f"event {index} holds a raw value; regenerate expects an "
                 "anonymized trace (run 'anonymize' first)"
             )
-        for key in ("action", "widget"):
-            if not isinstance(item.get(key), str):
-                raise TraceParseError(f"event {index}: missing or non-string {key!r}")
-        if "record" not in item:
-            events.append(Event(action=item["action"], widget=item["widget"]))
-            continue
-        record = record_from_json(item["record"])
-        value = regenerate(record, substream(args.seed, index))
-        events.append(
-            Event(
-                action=item["action"],
-                widget=item["widget"],
-                data=(value, record_domain(record)),
-            )
-        )
+        event = event_from_json(item, index)
+        if "record" in item:
+            record = record_from_json(item["record"])
+            value = regenerate(record, substream(args.seed, index))
+            event = Event(event.action, event.widget, (value, record_domain(record)))
+        events.append(event)
     _write_text(Path(args.out), serialize_trace(FailureTrace(tuple(events))))
     print(f"regenerated {len(events)} event(s) -> {args.out}")
     return 0
@@ -152,58 +159,33 @@ def cmd_regenerate(args: argparse.Namespace) -> int:
 # simulate / report
 
 
-def _parse_technique_item(item: Any) -> TechniqueConfig | dict[str, TechniqueConfig]:
-    if isinstance(item, dict) and "per_field" in item:
-        if not isinstance(item["per_field"], dict):
-            raise ConfigError("'per_field' must map field names to technique configs")
-        return {
-            field: config_from_json(cfg) for field, cfg in item["per_field"].items()
-        }
-    return config_from_json(item)
-
-
 def _load_run_config(args: argparse.Namespace) -> dict[str, Any]:
     raw = _read_json(args.config) if args.config else {}
     if not isinstance(raw, dict):
         raise ConfigError("a run config is a JSON object")
-    known = {
-        "oracles",
-        "techniques",
-        "trials",
-        "seed",
-        "confidence",
-        "workers",
-        "format",
-        "verify",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_RUN_DEFAULTS)
     if unknown:
         raise ConfigError(
             f"unknown run config key(s): {', '.join(sorted(unknown))}"
         )
-    merged = {
-        "oracles": raw.get("oracles"),
-        "techniques": raw.get("techniques"),
-        "trials": args.trials if args.trials is not None else raw.get("trials", DEFAULT_TRIALS),
-        "seed": args.seed if args.seed is not None else raw.get("seed", 0),
-        "confidence": (
-            args.confidence
-            if args.confidence is not None
-            else raw.get("confidence", DEFAULT_CONFIDENCE)
-        ),
-        "workers": args.workers if args.workers is not None else raw.get("workers", 1),
-        "format": args.format if args.format is not None else raw.get("format", "csv"),
-        "verify": args.verify or bool(raw.get("verify", False)),
-    }
-    if merged["format"] not in ("csv", "table", "both"):
-        raise ConfigError(f"format must be csv, table or both, got {merged['format']!r}")
-    if not isinstance(merged["trials"], int) or merged["trials"] < 1:
-        raise ConfigError(f"trials must be a positive integer, got {merged['trials']!r}")
-    if not isinstance(merged["seed"], int):
-        raise ConfigError(f"seed must be an integer, got {merged['seed']!r}")
-    if not isinstance(merged["workers"], int) or merged["workers"] < 1:
-        raise ConfigError(f"workers must be a positive integer, got {merged['workers']!r}")
-    return merged
+    cfg = {**_RUN_DEFAULTS, **raw}
+    for key, default in _RUN_DEFAULTS.items():
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+        if default is not None:
+            check_type(cfg[key], (type(default),), "run config", key, ConfigError)
+    for key in ("trials", "workers"):
+        if cfg[key] < 1:
+            raise ConfigError(f"run config: {key!r} must be positive, got {cfg[key]!r}")
+    if not 0 < cfg["confidence"] < 1:
+        raise ConfigError(
+            f"run config: 'confidence' must lie in (0, 1), got {cfg['confidence']!r}"
+        )
+    if cfg["format"] not in ("csv", "table", "both"):
+        raise ConfigError(
+            f"run config: 'format' must be csv, table or both, got {cfg['format']!r}"
+        )
+    return cfg
 
 
 def _run_simulation(
@@ -215,7 +197,7 @@ def _run_simulation(
     raw_techniques = cfg["techniques"] or []
     if not isinstance(raw_techniques, list):
         raise ConfigError("'techniques' must be a list of technique configs")
-    shared = [_parse_technique_item(item) for item in raw_techniques]
+    shared = [_config_or_map(item, "per_field") for item in raw_techniques]
 
     reports: list[TrialReport] = []
     verifications: list[VerificationResult] = []
@@ -258,24 +240,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    results: dict[str, Sequence[Any]] = {"trials": reports, "aggregate": rows}
+    if verifications:
+        results["verification"] = verifications
     written: list[Path] = []
-    if cfg["format"] in ("csv", "both"):
-        report_mod.trials_to_csv(reports, out_dir / "trials.csv")
-        report_mod.aggregate_to_csv(rows, out_dir / "aggregate.csv")
-        written += [out_dir / "trials.csv", out_dir / "aggregate.csv"]
-        if verifications:
-            report_mod.verification_to_csv(verifications, out_dir / "verification.csv")
-            written.append(out_dir / "verification.csv")
-    if cfg["format"] in ("table", "both"):
-        _write_text(out_dir / "trials.txt", report_mod.trials_table(reports))
-        _write_text(out_dir / "aggregate.txt", report_mod.aggregate_table(rows))
-        written += [out_dir / "trials.txt", out_dir / "aggregate.txt"]
-        if verifications:
-            _write_text(
-                out_dir / "verification.txt",
-                report_mod.verification_table(verifications),
-            )
-            written.append(out_dir / "verification.txt")
+    for suffix, formats in (("csv", ("csv", "both")), ("txt", ("table", "both"))):
+        if cfg["format"] not in formats:
+            continue
+        for kind, items in results.items():
+            written.append(out_dir / f"{kind}.{suffix}")
+            if suffix == "csv":
+                report_mod.write_csv(kind, items, written[-1])
+            else:
+                _write_text(written[-1], report_mod.results_table(kind, items))
 
     print(report_mod.aggregate_table(rows), end="")
     if verifications:
@@ -295,17 +272,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     text = _read_text(args.infile)
     kind = report_mod.sniff_csv(args.infile)
-    if args.format == "csv":
-        sys.stdout.write(text)
-        return 0
-    if kind == "trials":
-        text = report_mod.trials_table(report_mod.trials_from_csv(args.infile))
-    elif kind == "aggregate":
-        text = report_mod.aggregate_table(report_mod.aggregate_from_csv(args.infile))
-    else:
-        text = report_mod.verification_table(
-            report_mod.verification_from_csv(args.infile)
-        )
+    if args.format == "table":
+        text = report_mod.results_table(kind, report_mod.read_csv(kind, args.infile))
     sys.stdout.write(text)
     return 0
 
@@ -351,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--verify",
         action="store_true",
+        default=None,
         help="cross-check against exhaustive enumeration where feasible",
     )
     p_sim.add_argument("--format", choices=("csv", "table", "both"), help="output format")

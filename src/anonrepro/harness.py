@@ -328,6 +328,10 @@ class VerificationResult:
     def passed(self) -> bool:
         return self.lower <= self.successes <= self.upper
 
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.passed else "FAIL"
+
 
 def acceptance_region(trials: int, probability: float) -> tuple[int, int]:
     """Central 99% acceptance region for Binomial(trials, probability)."""

@@ -25,15 +25,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal
+from enum import Enum, EnumMeta
 from functools import lru_cache
-from typing import Any, Iterable, Mapping, Union
+from types import UnionType
+from typing import Any, Callable, Iterable, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .errors import (
     DomainError,
     NonConformingValueError,
     TraceParseError,
+    ValidationError,
 )
 
 #: Fraction digits assumed for real-valued domains that do not declare any.
@@ -394,36 +397,180 @@ def domain_to_json(domain: DomainSpec) -> dict[str, Any]:
     raise DomainError(f"unknown domain {domain!r}")
 
 
+_DOMAIN_KINDS = {
+    NumericDomain: "numeric",
+    CategoricalDomain: "categorical",
+    StringDomain: "string",
+    TupleDomain: "tuple",
+}
+
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    str: "a string",
+    type(None): "null",
+}
+
+
+def _options(hint: Any) -> tuple[Any, ...]:
+    """The types a value annotated ``hint`` may have: ``X | None`` -> (X, None)."""
+    return get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
+
+
+def check_type(
+    raw: Any,
+    options: tuple[Any, ...],
+    where: str,
+    key: str,
+    error: type[ValidationError] = TraceParseError,
+) -> Any:
+    """``raw``, the value of ``key`` in ``where``, read as one of the types
+    ``options`` (``type(None)`` admits null).
+
+    An ``int`` passes for ``float``, a ``bool`` passes only for ``bool`` and
+    an enum is read from its string value.  Anything else raises ``error``
+    naming ``where`` and ``key``.
+    """
+    kind = type(raw)
+    for option in options:
+        if kind is option or (kind is int and option is float):
+            return raw
+        if isinstance(option, EnumMeta) and kind is str and raw in option._value2member_map_:
+            return option(raw)
+    expected = " or ".join(
+        "one of " + ", ".join(map(repr, option._value2member_map_))
+        if isinstance(option, EnumMeta)
+        else _TYPE_NAMES[option]
+        for option in options
+    )
+    raise error(f"{where}: {key!r} must be {expected}, got {raw!r}")
+
+
+FieldTable = tuple[tuple[str, str, Any, str, bool], ...]
+
+
+def field_table(cls: type, keys: Mapping[str, str] | None = None) -> FieldTable:
+    """(field, JSON key, type, reader, required) for each field of the
+    dataclass ``cls``, in field order; ``keys`` renames fields in JSON.  The
+    type of a scalar or domain field is the tuple of types it admits, that of
+    any other field its resolved annotation.
+
+    Build it once, at import: ``get_type_hints`` costs more than a decode.
+    """
+    hints = get_type_hints(cls)
+    table = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        if hint == DataValue:
+            reader = "value"
+        elif hint == DomainSpec or hint in _DOMAIN_KINDS:
+            reader, hint = "domain", _options(hint)
+        elif get_origin(hint) is tuple:
+            reader = "array"
+        elif all(o in _TYPE_NAMES or isinstance(o, EnumMeta) for o in _options(hint)):
+            reader, hint = "scalar", _options(hint)
+        else:
+            reader = "nested"
+        required = f.default is MISSING and f.default_factory is MISSING
+        table.append((f.name, (keys or {}).get(f.name, f.name), hint, reader, required))
+    return tuple(table)
+
+
+def fields_from_json(
+    table: FieldTable,
+    raw: Mapping[str, Any],
+    where: str,
+    error: type[ValidationError] = TraceParseError,
+    element: Callable[[Any], Any] | None = None,
+) -> dict[str, Any]:
+    """Constructor arguments for a dataclass read from the JSON object ``raw``.
+
+    ``table`` comes from ``field_table``; only a field with a default may be
+    left out.  A field annotated with a domain type is read by
+    ``domain_from_json`` and must be of that type, and a ``DataValue`` is read
+    against the ``domain`` field before it.  ``element`` reads a field of
+    another dataclass type, and each item of a ``tuple[X, ...]`` array.  Any
+    other value must pass ``check_type``.
+    """
+    kwargs: dict[str, Any] = {}
+    for name, key, hint, reader, required in table:
+        if key not in raw:
+            if required:
+                raise error(f"{where} is missing key {key!r}")
+            continue
+        item = raw[key]
+        if reader == "scalar":
+            if type(item) not in hint:  # the common case skips the call
+                item = check_type(item, hint, where, key, error)
+            kwargs[name] = item
+        elif reader == "domain":
+            kwargs[name] = domain_from_json(item)
+            if not isinstance(kwargs[name], hint):
+                kinds = " or ".join(_DOMAIN_KINDS[c] for c in hint)
+                raise error(f"{where}: {key!r} must be a {kinds} domain")
+        elif reader == "value":
+            kwargs[name] = value_from_json(item, kwargs["domain"])
+        elif reader == "nested":
+            kwargs[name] = element(item)  # type: ignore[misc]
+        elif isinstance(item, list):
+            kwargs[name] = tuple(map(element, item))  # type: ignore[arg-type]
+        else:
+            raise error(f"{where}: {key!r} must be an array, got {item!r}")
+    return kwargs
+
+
+def fields_to_json(
+    table: FieldTable,
+    obj: Any,
+    element: Callable[[Any], Any] | None = None,
+    omit_none: bool = False,
+) -> dict[str, Any]:
+    """The JSON object of the dataclass ``obj``, keyed and read back as by
+    ``fields_from_json``; enums are written as their values."""
+    out: dict[str, Any] = {}
+    for name, key, _, reader, _ in table:
+        value = getattr(obj, name)
+        if reader == "scalar":
+            if isinstance(value, Enum):
+                value = value.value
+            elif value is None and omit_none:
+                continue
+        elif reader == "domain":
+            value = domain_to_json(value)
+        elif reader == "value":
+            value = value_to_json(value)
+        elif reader == "nested":
+            value = element(value)  # type: ignore[misc]
+        else:
+            value = [element(v) for v in value]  # type: ignore[misc]
+        out[key] = value
+    return out
+
+
+#: Domain kinds read field by field; a categorical hierarchy is a JSON object.
+_DOMAIN_FIELDS = {
+    kind: (cls, field_table(cls))
+    for cls, kind in _DOMAIN_KINDS.items()
+    if cls is not CategoricalDomain
+}
+
+
 def domain_from_json(raw: Any) -> DomainSpec:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise TraceParseError(f"domain must be an object with a 'kind': {raw!r}")
     kind = raw["kind"]
-    try:
-        if kind == "numeric":
-            return NumericDomain(
-                min=raw["min"],
-                max=raw["max"],
-                max_inclusive=raw.get("max_inclusive", True),
-                integer=raw.get("integer", False),
-                precision=raw.get("precision"),
-            )
-        if kind == "categorical":
+    if kind == "categorical":
+        try:
             return CategoricalDomain(
                 categories=raw["categories"],
                 hierarchy=raw.get("hierarchy"),
             )
-        if kind == "string":
-            return StringDomain(
-                char_class=raw["char_class"],
-                length_min=raw["length_min"],
-                length_max=raw["length_max"],
-            )
-        if kind == "tuple":
-            return TupleDomain(
-                components=tuple(domain_from_json(c) for c in raw["components"])
-            )
-    except KeyError as exc:
-        raise TraceParseError(f"domain is missing key {exc.args[0]!r}") from exc
+        except KeyError as exc:
+            raise TraceParseError(f"domain is missing key {exc.args[0]!r}") from exc
+    if isinstance(kind, str) and kind in _DOMAIN_FIELDS:
+        cls, table = _DOMAIN_FIELDS[kind]
+        return cls(**fields_from_json(table, raw, f"{kind} domain", element=domain_from_json))
     raise TraceParseError(f"unknown domain kind {kind!r}")
 
 

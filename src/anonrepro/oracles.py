@@ -39,10 +39,14 @@ from .model import (
     NumericDomain,
     StringDomain,
     Text,
+    TupleDomain,
     conforms,
     domain_from_json,
     domain_to_json,
     expand_char_class,
+    field_table,
+    fields_from_json,
+    fields_to_json,
 )
 from .techniques import (
     CategoryGroup,
@@ -54,9 +58,8 @@ from .techniques import (
     RoundingConfig,
     SCDLocalSuppressionConfig,
     TechniqueConfig,
-    global_recoding_anonymize,
+    anonymize,
     integer_bounds,
-    rounding_anonymize,
 )
 
 #: Hard cap on how many joint outcomes exact enumeration may visit.
@@ -435,10 +438,12 @@ def technique_distribution(
 
     Raises EnumerationInfeasibleError when the output space is continuous or
     too large (real-valued domains, long strings, special-character
-    placement).
+    placement) or the field is a tuple.
     """
+    if isinstance(domain, TupleDomain):
+        raise EnumerationInfeasibleError("tuple fields are not enumerated")
     if isinstance(cfg, RoundingConfig):
-        record = rounding_anonymize(value, domain, cfg)
+        record = anonymize(value, domain, cfg)
         return FiniteDistribution(((record.value, Fraction(1)),))  # type: ignore[union-attr]
     if isinstance(domain, NumericDomain) and not domain.integer:
         raise EnumerationInfeasibleError(
@@ -457,7 +462,7 @@ def technique_distribution(
                 lengths = list(range(domain.length_min, domain.length_max + 1))
             return _string_support(domain, lengths)
     if isinstance(cfg, GlobalRecodingConfig):
-        record = global_recoding_anonymize(value, domain, cfg)
+        record = anonymize(value, domain, cfg)
         if isinstance(record, IntervalGroup):
             lo, hi = integer_bounds(record.lo, record.hi, record.hi_inclusive)
             return _uniform(_integer_range_values(lo, hi))
@@ -571,53 +576,42 @@ def exhaustive_probability(
 # JSON codec
 
 
-_SIMPLE_OPS: dict[str, tuple[type, tuple[str, ...]]] = {
-    "equals": (Equals, ("field", "value")),
-    "in_range": (InRange, ("field", "lo", "hi")),
-    "contains": (Contains, ("field", "substring")),
-    "matches_class": (MatchesClass, ("field", "char_class")),
-    "ends_with": (EndsWith, ("field", "suffix")),
-    "char_at": (CharAt, ("field", "index", "char")),
-    "is_leap_day": (IsLeapDay, ("day", "month", "year")),
-    "decimal_separator_is": (DecimalSeparatorIs, ("field", "separator")),
-    "length_gt": (LengthGt, ("field", "length")),
+_OPS: dict[str, type] = {
+    "and": And,
+    "or": Or,
+    "not": Not,
+    "equals": Equals,
+    "in_range": InRange,
+    "contains": Contains,
+    "matches_class": MatchesClass,
+    "ends_with": EndsWith,
+    "char_at": CharAt,
+    "is_leap_day": IsLeapDay,
+    "decimal_separator_is": DecimalSeparatorIs,
+    "length_gt": LengthGt,
 }
 
-_OP_NAMES = {cls: name for name, (cls, _) in _SIMPLE_OPS.items()}
+_OP_NAMES = {cls: name for name, cls in _OPS.items()}
+
+_OP_FIELDS = {cls: field_table(cls) for cls in _OPS.values()}
 
 
 def expr_to_json(expr: OracleExpr) -> dict[str, Any]:
-    if isinstance(expr, And):
-        return {"op": "and", "args": [expr_to_json(a) for a in expr.args]}
-    if isinstance(expr, Or):
-        return {"op": "or", "args": [expr_to_json(a) for a in expr.args]}
-    if isinstance(expr, Not):
-        return {"op": "not", "arg": expr_to_json(expr.arg)}
-    name = _OP_NAMES[type(expr)]
-    _, keys = _SIMPLE_OPS[name]
-    out: dict[str, Any] = {"op": name}
-    for key in keys:
-        out[key] = getattr(expr, key)
-    return out
+    fields = fields_to_json(_OP_FIELDS[type(expr)], expr, expr_to_json)
+    return {"op": _OP_NAMES[type(expr)], **fields}
 
 
 def expr_from_json(raw: Any) -> OracleExpr:
     if not isinstance(raw, dict) or "op" not in raw:
         raise OracleError(f"a predicate node is an object with an 'op': {raw!r}")
     op = raw["op"]
-    try:
-        if op == "and":
-            return And(tuple(expr_from_json(a) for a in raw["args"]))
-        if op == "or":
-            return Or(tuple(expr_from_json(a) for a in raw["args"]))
-        if op == "not":
-            return Not(expr_from_json(raw["arg"]))
-        if op in _SIMPLE_OPS:
-            cls, keys = _SIMPLE_OPS[op]
-            return cls(**{k: raw[k] for k in keys})
-    except KeyError as exc:
-        raise OracleError(f"predicate op {op!r} is missing {exc.args[0]!r}") from exc
-    raise OracleError(f"unknown predicate op {op!r}")
+    cls = _OPS.get(op) if isinstance(op, str) else None
+    if cls is None:
+        raise OracleError(f"unknown predicate op {op!r}")
+    kwargs = fields_from_json(
+        _OP_FIELDS[cls], raw, f"predicate op {op!r}", OracleError, expr_from_json
+    )
+    return cls(**kwargs)
 
 
 def oracle_to_json(oracle: BugOracle) -> dict[str, Any]:

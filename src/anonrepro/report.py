@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence, get_args, get_type_hints
 
 from .errors import ValidationError
 from .harness import AggregateRow, TrialReport, VerificationResult
@@ -76,167 +77,73 @@ def _attempts_cell(value: int | float | None, *, mean: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # CSV writers and readers
 
+#: Columns and row type of each results CSV.  A column that is not a field of
+#: the row type is derived: written, then recomputed on read.
+CSV_KINDS = {
+    "trials": (TRIAL_FIELDS, TrialReport),
+    "aggregate": (AGGREGATE_FIELDS, AggregateRow),
+    "verification": (VERIFICATION_FIELDS, VerificationResult),
+}
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: list[list]) -> None:
+_FIELD_TYPES = {row_type: get_type_hints(row_type) for _, row_type in CSV_KINDS.values()}
+
+
+def write_csv(kind: str, rows: Sequence[Any], path: str | Path) -> None:
+    """Write ``rows`` as the results CSV ``kind``; None is written as "-"."""
+    columns = CSV_KINDS[kind][0]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        for row in rows:
+            cells = (getattr(row, column) for column in columns)
+            writer.writerow([NOT_REPRODUCED if c is None else c for c in cells])
 
 
-def trials_to_csv(reports: Sequence[TrialReport], path: str | Path) -> None:
-    rows = [
-        [
-            r.oracle,
-            r.technique,
-            r.label,
-            r.config,
-            r.trials,
-            r.successes,
-            repr(r.reproduction_frequency),
-            NOT_REPRODUCED if r.attempts is None else r.attempts,
-            r.disclosures,
-            repr(r.disclosure_frequency),
-            r.seed,
-            repr(r.confidence),
-        ]
-        for r in reports
-    ]
-    _write_csv(path, TRIAL_FIELDS, rows)
+def _cell(text: str, hint: Any) -> Any:
+    """A CSV cell read as the field annotation ``hint``; "-" reads as None."""
+    options = get_args(hint) or (hint,)
+    if text == NOT_REPRODUCED and type(None) in options:
+        return None
+    return options[0](text)
 
 
-def aggregate_to_csv(rows: Sequence[AggregateRow], path: str | Path) -> None:
-    out = [
-        [
-            row.technique,
-            row.label,
-            row.oracles,
-            repr(row.mean_frequency),
-            NOT_REPRODUCED if row.mean_attempts is None else repr(row.mean_attempts),
-            NOT_REPRODUCED if row.max_attempts is None else row.max_attempts,
-            row.not_reproduced,
-            repr(row.mean_disclosure),
-        ]
-        for row in rows
-    ]
-    _write_csv(path, AGGREGATE_FIELDS, out)
-
-
-def verification_to_csv(
-    results: Sequence[VerificationResult], path: str | Path
-) -> None:
-    rows = [
-        [
-            r.oracle,
-            r.technique,
-            r.label,
-            r.config,
-            r.trials,
-            r.successes,
-            repr(r.exact_probability),
-            r.lower,
-            r.upper,
-            "PASS" if r.passed else "FAIL",
-        ]
-        for r in results
-    ]
-    _write_csv(path, VERIFICATION_FIELDS, rows)
-
-
-def _read_csv(path: str | Path, expected: Sequence[str]) -> list[dict[str, str]]:
+def read_csv(kind: str, path: str | Path) -> list[Any]:
+    """The rows of the results CSV ``kind`` at ``path``."""
+    columns, row_type = CSV_KINDS[kind]
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(expected):
+        if reader.fieldnames is None or tuple(reader.fieldnames) != columns:
             raise ValidationError(
-                f"{path}: expected columns {', '.join(expected)}, "
+                f"{path}: expected columns {', '.join(columns)}, "
                 f"got {', '.join(reader.fieldnames or ())}"
             )
-        return list(reader)
-
-
-def trials_from_csv(path: str | Path) -> list[TrialReport]:
-    reports = []
-    for row in _read_csv(path, TRIAL_FIELDS):
+        rows = list(reader)
+    out = []
+    for row in rows:
         try:
-            reports.append(
-                TrialReport(
-                    oracle=row["oracle"],
-                    technique=row["technique"],
-                    label=row["label"],
-                    config=row["config"],
-                    trials=int(row["trials"]),
-                    successes=int(row["successes"]),
-                    disclosures=int(row["disclosures"]),
-                    seed=int(row["seed"]),
-                    confidence=float(row["confidence"]),
-                )
-            )
-        except ValueError as exc:
+            out.append(row_type(**{
+                name: _cell(row[name], hint)
+                for name, hint in _FIELD_TYPES[row_type].items()
+            }))
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: bad row {row!r}: {exc}") from exc
-    return reports
+    return out
 
 
-def aggregate_from_csv(path: str | Path) -> list[AggregateRow]:
-    rows = []
-    for row in _read_csv(path, AGGREGATE_FIELDS):
-        try:
-            rows.append(
-                AggregateRow(
-                    technique=row["technique"],
-                    label=row["label"],
-                    oracles=int(row["oracles"]),
-                    mean_frequency=float(row["mean_frequency"]),
-                    mean_attempts=(
-                        None
-                        if row["mean_attempts"] == NOT_REPRODUCED
-                        else float(row["mean_attempts"])
-                    ),
-                    max_attempts=(
-                        None
-                        if row["max_attempts"] == NOT_REPRODUCED
-                        else int(row["max_attempts"])
-                    ),
-                    not_reproduced=int(row["not_reproduced"]),
-                    mean_disclosure=float(row["mean_disclosure"]),
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{path}: bad row {row!r}: {exc}") from exc
-    return rows
-
-
-def verification_from_csv(path: str | Path) -> list[VerificationResult]:
-    results = []
-    for row in _read_csv(path, VERIFICATION_FIELDS):
-        try:
-            results.append(
-                VerificationResult(
-                    oracle=row["oracle"],
-                    technique=row["technique"],
-                    label=row["label"],
-                    config=row["config"],
-                    trials=int(row["trials"]),
-                    successes=int(row["successes"]),
-                    exact_probability=float(row["exact_probability"]),
-                    lower=int(row["lower"]),
-                    upper=int(row["upper"]),
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{path}: bad row {row!r}: {exc}") from exc
-    return results
+trials_to_csv = partial(write_csv, "trials")
+aggregate_to_csv = partial(write_csv, "aggregate")
+verification_to_csv = partial(write_csv, "verification")
+trials_from_csv = partial(read_csv, "trials")
+aggregate_from_csv = partial(read_csv, "aggregate")
+verification_from_csv = partial(read_csv, "verification")
 
 
 def sniff_csv(path: str | Path) -> str:
     """Which result kind a CSV holds: 'trials', 'aggregate' or 'verification'."""
     with open(path, newline="", encoding="utf-8") as handle:
         header = tuple(next(csv.reader(handle), ()))
-    for kind, fields in (
-        ("trials", TRIAL_FIELDS),
-        ("aggregate", AGGREGATE_FIELDS),
-        ("verification", VERIFICATION_FIELDS),
-    ):
-        if header == fields:
+    for kind, (columns, _) in CSV_KINDS.items():
+        if header == columns:
             return kind
     raise ValidationError(f"{path}: not a recognized results CSV")
 
@@ -265,84 +172,53 @@ def render_table(
     return out.getvalue()
 
 
-def trials_table(reports: Sequence[TrialReport]) -> str:
-    headers = (
-        "oracle",
-        "technique",
-        "label",
-        "config",
-        "trials",
-        "frequency",
-        "attempts",
-        "disclosure",
+#: Header, alignment and cell of each column of each aligned table.
+TABLE_COLUMNS: dict[str, tuple[tuple[str, str, Callable[[Any], Any]], ...]] = {
+    "trials": (
+        ("oracle", "l", lambda r: r.oracle),
+        ("technique", "l", lambda r: r.technique),
+        ("label", "l", lambda r: r.label),
+        ("config", "l", lambda r: r.config),
+        ("trials", "r", lambda r: r.trials),
+        ("frequency", "r", lambda r: format_percent(r.reproduction_frequency)),
+        ("attempts", "r", lambda r: _attempts_cell(r.attempts)),
+        ("disclosure", "r", lambda r: format_disclosure(r.disclosure_frequency)),
+    ),
+    "aggregate": (
+        ("technique", "l", lambda r: r.technique),
+        ("label", "l", lambda r: r.label),
+        ("oracles", "r", lambda r: r.oracles),
+        ("mean_freq", "r", lambda r: format_percent(r.mean_frequency)),
+        ("mean_attempts", "r", lambda r: _attempts_cell(r.mean_attempts, mean=True)),
+        ("max_attempts", "r", lambda r: _attempts_cell(r.max_attempts)),
+        ("not_reproduced", "r", lambda r: r.not_reproduced),
+        ("mean_disclosure", "r", lambda r: format_disclosure(r.mean_disclosure)),
+    ),
+    "verification": (
+        ("oracle", "l", lambda r: r.oracle),
+        ("technique", "l", lambda r: r.technique),
+        ("label", "l", lambda r: r.label),
+        ("config", "l", lambda r: r.config),
+        ("exact", "r", lambda r: f"{r.exact_probability:.6g}"),
+        ("trials", "r", lambda r: r.trials),
+        ("successes", "r", lambda r: r.successes),
+        ("region", "r", lambda r: f"[{r.lower}, {r.upper}]"),
+        ("verdict", "l", lambda r: r.verdict),
+    ),
+}
+
+
+def results_table(kind: str, rows: Sequence[Any]) -> str:
+    """The aligned table of results ``kind``: 'trials', 'aggregate' or
+    'verification'."""
+    columns = TABLE_COLUMNS[kind]
+    return render_table(
+        [header for header, _, _ in columns],
+        [[cell(row) for _, _, cell in columns] for row in rows],
+        "".join(align for _, align, _ in columns),
     )
-    rows = [
-        (
-            r.oracle,
-            r.technique,
-            r.label,
-            r.config,
-            str(r.trials),
-            format_percent(r.reproduction_frequency),
-            _attempts_cell(r.attempts),
-            format_disclosure(r.disclosure_frequency),
-        )
-        for r in reports
-    ]
-    return render_table(headers, rows, "llllrrrr")
 
 
-def aggregate_table(rows: Sequence[AggregateRow]) -> str:
-    headers = (
-        "technique",
-        "label",
-        "oracles",
-        "mean_freq",
-        "mean_attempts",
-        "max_attempts",
-        "not_reproduced",
-        "mean_disclosure",
-    )
-    body = [
-        (
-            row.technique,
-            row.label,
-            str(row.oracles),
-            format_percent(row.mean_frequency),
-            _attempts_cell(row.mean_attempts, mean=True),
-            _attempts_cell(row.max_attempts),
-            str(row.not_reproduced),
-            format_disclosure(row.mean_disclosure),
-        )
-        for row in rows
-    ]
-    return render_table(headers, body, "llrrrrrr")
-
-
-def verification_table(results: Sequence[VerificationResult]) -> str:
-    headers = (
-        "oracle",
-        "technique",
-        "label",
-        "config",
-        "exact",
-        "trials",
-        "successes",
-        "region",
-        "verdict",
-    )
-    rows = [
-        (
-            r.oracle,
-            r.technique,
-            r.label,
-            r.config,
-            f"{r.exact_probability:.6g}",
-            str(r.trials),
-            str(r.successes),
-            f"[{r.lower}, {r.upper}]",
-            "PASS" if r.passed else "FAIL",
-        )
-        for r in results
-    ]
-    return render_table(headers, rows, "llllrrrrl")
+trials_table = partial(results_table, "trials")
+aggregate_table = partial(results_table, "aggregate")
+verification_table = partial(results_table, "verification")

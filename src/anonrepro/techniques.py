@@ -56,10 +56,9 @@ from .model import (
     TupleDomain,
     TupleValue,
     conforms,
-    domain_from_json,
-    domain_to_json,
-    value_from_json,
-    value_to_json,
+    field_table,
+    fields_from_json,
+    fields_to_json,
 )
 from .rng import split
 
@@ -323,24 +322,6 @@ def _sample_numeric(
     return Continuous(_sample_real(lo, hi, hi_inclusive, p, rng), p)
 
 
-def _require_conforms(value: DataValue, domain: DomainSpec) -> None:
-    if not conforms(value, domain):
-        raise NonConformingValueError(
-            f"value {value!r} does not conform to {domain!r}"
-        )
-
-
-def _tuple_pairs(value: DataValue, domain: DomainSpec):
-    """Component pairs when both sides are tuples, else None."""
-    if isinstance(domain, TupleDomain):
-        if not isinstance(value, TupleValue) or len(value.components) != len(
-            domain.components
-        ):
-            raise NonConformingValueError("tuple value does not match tuple domain")
-        return list(zip(value.components, domain.components))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # global recoding
 
@@ -359,12 +340,6 @@ def global_recoding_anonymize(
     Interior boundaries belong to the sub-interval on their right; only the
     last sub-interval inherits the domain's max inclusiveness.
     """
-    pairs = _tuple_pairs(value, domain)
-    if pairs is not None:
-        return TupleRecord(
-            tuple(global_recoding_anonymize(v, d, cfg) for v, d in pairs)
-        )
-    _require_conforms(value, domain)
     if isinstance(domain, NumericDomain):
         if cfg.partitions is None:
             raise ConfigError("recoding a numeric value needs a partition count")
@@ -404,10 +379,6 @@ def rounding_anonymize(
     value: DataValue, domain: DomainSpec, cfg: RoundingConfig
 ) -> AnonymizedRecord:
     """Replace ``value`` with the nearest rounding point (ties go lower)."""
-    pairs = _tuple_pairs(value, domain)
-    if pairs is not None:
-        return TupleRecord(tuple(rounding_anonymize(v, d, cfg) for v, d in pairs))
-    _require_conforms(value, domain)
     if not isinstance(domain, NumericDomain):
         raise UnsupportedTechniqueError("rounding applies to numeric values only")
     assert isinstance(value, Continuous)
@@ -425,12 +396,6 @@ def local_suppression_anonymize(
 ) -> AnonymizedRecord:
     """Drop the value.  Strings keep their length when the policy says so;
     nothing else about the original survives."""
-    pairs = _tuple_pairs(value, domain)
-    if pairs is not None:
-        return TupleRecord(
-            tuple(local_suppression_anonymize(v, d, cfg) for v, d in pairs)
-        )
-    _require_conforms(value, domain)
     hint = None
     if (
         isinstance(domain, StringDomain)
@@ -444,12 +409,6 @@ def scd_local_suppression_anonymize(
     value: DataValue, domain: DomainSpec, cfg: SCDLocalSuppressionConfig
 ) -> AnonymizedRecord:
     """Drop the string but keep its special-character multiset."""
-    pairs = _tuple_pairs(value, domain)
-    if pairs is not None:
-        return TupleRecord(
-            tuple(scd_local_suppression_anonymize(v, d, cfg) for v, d in pairs)
-        )
-    _require_conforms(value, domain)
     if not isinstance(domain, StringDomain):
         raise UnsupportedTechniqueError(
             "special-character suppression applies to string values only"
@@ -487,16 +446,6 @@ def noise_addition_anonymize(
 
     Integer domains draw a real, round half-up and clamp into the domain.
     """
-    pairs = _tuple_pairs(value, domain)
-    if pairs is not None:
-        streams = split(rng, len(pairs))
-        return TupleRecord(
-            tuple(
-                noise_addition_anonymize(v, d, cfg, r)
-                for (v, d), r in zip(pairs, streams)
-            )
-        )
-    _require_conforms(value, domain)
     if not isinstance(domain, NumericDomain):
         raise UnsupportedTechniqueError("noise addition applies to numeric values only")
     assert isinstance(value, Continuous)
@@ -522,11 +471,25 @@ def anonymize(
     cfg: TechniqueConfig,
     rng: np.random.Generator | None = None,
 ) -> AnonymizedRecord:
-    """Apply the technique selected by ``cfg``.
+    """Apply the technique selected by ``cfg``, componentwise to tuples.
 
-    Only noise addition draws randomness at this stage; the other techniques
-    ignore ``rng``.
+    Only noise addition draws randomness at this stage, so only noise
+    addition splits ``rng`` across tuple components; the other techniques
+    leave it untouched (``Generator.spawn`` advances the generator, and
+    callers regenerate from the same stream).
     """
+    noise = isinstance(cfg, NoiseAdditionConfig)
+    if noise and rng is None:
+        raise ConfigError("noise addition needs a random stream")
+    if not conforms(value, domain):
+        raise NonConformingValueError(f"value {value!r} does not conform to {domain!r}")
+    if isinstance(domain, TupleDomain):
+        count = len(domain.components)
+        streams = split(rng, count) if noise else [rng] * count  # type: ignore[arg-type]
+        parts = zip(value.components, domain.components, streams)  # type: ignore[union-attr]
+        return TupleRecord(tuple(anonymize(v, d, cfg, r) for v, d, r in parts))
+    if noise:
+        return noise_addition_anonymize(value, domain, cfg, rng)  # type: ignore[arg-type]
     if isinstance(cfg, GlobalRecodingConfig):
         return global_recoding_anonymize(value, domain, cfg)
     if isinstance(cfg, RoundingConfig):
@@ -535,10 +498,6 @@ def anonymize(
         return local_suppression_anonymize(value, domain, cfg)
     if isinstance(cfg, SCDLocalSuppressionConfig):
         return scd_local_suppression_anonymize(value, domain, cfg)
-    if isinstance(cfg, NoiseAdditionConfig):
-        if rng is None:
-            raise ConfigError("noise addition needs a random stream")
-        return noise_addition_anonymize(value, domain, cfg, rng)
     raise ConfigError(f"unknown technique configuration {cfg!r}")
 
 
@@ -639,157 +598,74 @@ def technique_name(cfg: TechniqueConfig) -> str:
     return _CONFIG_NAMES[type(cfg)]
 
 
-def config_to_json(cfg: TechniqueConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {"technique": technique_name(cfg)}
-    if isinstance(cfg, (GlobalRecodingConfig, RoundingConfig)):
-        if cfg.partitions is not None:
-            out["partitions"] = cfg.partitions
-    elif isinstance(cfg, (LocalSuppressionConfig, SCDLocalSuppressionConfig)):
-        out["length_policy"] = cfg.length_policy.value
-    elif isinstance(cfg, NoiseAdditionConfig):
-        out["noise"] = cfg.noise
-    if cfg.label is not None:
-        out["label"] = cfg.label
-    return out
-
-
-_CONFIG_KEYS = {
-    "global_recoding": {"technique", "partitions", "label"},
-    "rounding": {"technique", "partitions", "label"},
-    "local_suppression": {"technique", "length_policy", "label"},
-    "scd_local_suppression": {"technique", "length_policy", "label"},
-    "noise_addition": {"technique", "noise", "label"},
+_RECORD_TYPES: dict[str, type] = {
+    "suppressed": Suppressed,
+    "special_chars": SpecialChars,
+    "interval_group": IntervalGroup,
+    "category_group": CategoryGroup,
+    "concrete": Concrete,
+    "tuple": TupleRecord,
 }
+
+_RECORD_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
+
+#: Each config and record class's fields; CategoryGroup.group_label is "group".
+_FIELDS = {
+    cls: field_table(cls, {"group_label": "group"})
+    for cls in (*_CONFIG_TYPES.values(), *_RECORD_TYPES.values())
+}
+
+
+def config_to_json(cfg: TechniqueConfig) -> dict[str, Any]:
+    fields = fields_to_json(_FIELDS[type(cfg)], cfg, omit_none=True)
+    return {"technique": technique_name(cfg), **fields}
 
 
 def config_from_json(raw: Any) -> TechniqueConfig:
     if not isinstance(raw, dict) or "technique" not in raw:
         raise ConfigError(f"a technique config is an object with 'technique': {raw!r}")
     name = raw["technique"]
-    if name not in _CONFIG_TYPES:
+    cls = _CONFIG_TYPES.get(name) if isinstance(name, str) else None
+    if cls is None:
         raise ConfigError(
             f"unknown technique {name!r}; expected one of {sorted(_CONFIG_TYPES)}"
         )
-    unknown = set(raw) - _CONFIG_KEYS[name]
+    table = _FIELDS[cls]
+    unknown = set(raw) - {"technique", *(key for _, key, *_ in table)}
     if unknown:
         raise ConfigError(
             f"unknown key(s) for {name!r}: {', '.join(sorted(unknown))}"
         )
-    label = raw.get("label")
-    try:
-        if name == "global_recoding":
-            return GlobalRecodingConfig(partitions=raw.get("partitions"), label=label)
-        if name == "rounding":
-            return RoundingConfig(partitions=raw["partitions"], label=label)
-        if name == "local_suppression":
-            return LocalSuppressionConfig(
-                length_policy=raw.get("length_policy", "random_in_range"), label=label
-            )
-        if name == "scd_local_suppression":
-            return SCDLocalSuppressionConfig(
-                length_policy=raw.get("length_policy", "random_in_range"), label=label
-            )
-        return NoiseAdditionConfig(noise=raw["noise"], label=label)
-    except KeyError as exc:
-        raise ConfigError(f"technique {name!r} is missing {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cls(**fields_from_json(table, raw, f"technique {name!r}", ConfigError))
 
 
 def record_to_json(record: AnonymizedRecord) -> dict[str, Any]:
-    if isinstance(record, Suppressed):
-        return {
-            "record": "suppressed",
-            "domain": domain_to_json(record.domain),
-            "length_hint": record.length_hint,
-        }
-    if isinstance(record, SpecialChars):
-        return {
-            "record": "special_chars",
-            "domain": domain_to_json(record.domain),
-            "specials": record.specials,
-            "length_hint": record.length_hint,
-        }
-    if isinstance(record, IntervalGroup):
-        return {
-            "record": "interval_group",
-            "domain": domain_to_json(record.domain),
-            "lo": record.lo,
-            "hi": record.hi,
-            "hi_inclusive": record.hi_inclusive,
-        }
-    if isinstance(record, CategoryGroup):
-        return {
-            "record": "category_group",
-            "domain": domain_to_json(record.domain),
-            "group": record.group_label,
-        }
-    if isinstance(record, Concrete):
-        return {
-            "record": "concrete",
-            "domain": domain_to_json(record.domain),
-            "value": value_to_json(record.value),
-        }
-    if isinstance(record, TupleRecord):
-        return {
-            "record": "tuple",
-            "components": [record_to_json(c) for c in record.components],
-        }
-    raise ConfigError(f"unknown anonymized record {record!r}")
+    if type(record) not in _RECORD_NAMES:
+        raise ConfigError(f"unknown anonymized record {record!r}")
+    fields = fields_to_json(_FIELDS[type(record)], record, record_to_json)
+    return {"record": _RECORD_NAMES[type(record)], **fields}
 
 
 def record_from_json(raw: Any) -> AnonymizedRecord:
     if not isinstance(raw, dict) or "record" not in raw:
         raise TraceParseError(f"a record is an object with a 'record' kind: {raw!r}")
     kind = raw["record"]
-    try:
-        if kind == "suppressed":
-            return Suppressed(
-                domain=domain_from_json(raw["domain"]),
-                length_hint=raw.get("length_hint"),
+    cls = _RECORD_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise TraceParseError(f"unknown record kind {kind!r}")
+    kwargs = fields_from_json(
+        _FIELDS[cls], raw, f"{kind} record", element=record_from_json
+    )
+    if cls is SpecialChars:
+        domain, specials = kwargs["domain"], kwargs["specials"]
+        if not set(specials) <= set(domain.alphabet):
+            raise TraceParseError(
+                f"special_chars specials {specials!r} fall outside the domain "
+                f"alphabet {domain.char_class}"
             )
-        if kind == "special_chars":
-            domain = domain_from_json(raw["domain"])
-            if not isinstance(domain, StringDomain):
-                raise TraceParseError("special_chars records need a string domain")
-            specials = raw["specials"]
-            if not isinstance(specials, str) or not set(specials) <= set(domain.alphabet):
-                raise TraceParseError(
-                    f"special_chars specials {specials!r} fall outside the domain "
-                    f"alphabet {domain.char_class}"
-                )
-            if len(specials) > domain.length_max:
-                raise TraceParseError(
-                    f"special_chars record holds {len(specials)} specials, more than "
-                    f"the domain's length_max {domain.length_max}"
-                )
-            return SpecialChars(
-                domain=domain,
-                specials=specials,
-                length_hint=raw.get("length_hint"),
+        if len(specials) > domain.length_max:
+            raise TraceParseError(
+                f"special_chars record holds {len(specials)} specials, more than "
+                f"the domain's length_max {domain.length_max}"
             )
-        if kind == "interval_group":
-            domain = domain_from_json(raw["domain"])
-            if not isinstance(domain, NumericDomain):
-                raise TraceParseError("interval_group records need a numeric domain")
-            return IntervalGroup(
-                domain=domain,
-                lo=raw["lo"],
-                hi=raw["hi"],
-                hi_inclusive=raw["hi_inclusive"],
-            )
-        if kind == "category_group":
-            domain = domain_from_json(raw["domain"])
-            if not isinstance(domain, CategoricalDomain):
-                raise TraceParseError("category_group records need a categorical domain")
-            return CategoryGroup(domain=domain, group_label=raw["group"])
-        if kind == "concrete":
-            domain = domain_from_json(raw["domain"])
-            return Concrete(domain=domain, value=value_from_json(raw["value"], domain))
-        if kind == "tuple":
-            return TupleRecord(
-                components=tuple(record_from_json(c) for c in raw["components"])
-            )
-    except KeyError as exc:
-        raise TraceParseError(f"record is missing key {exc.args[0]!r}") from exc
-    raise TraceParseError(f"unknown record kind {kind!r}")
+    return cls(**kwargs)
