@@ -79,6 +79,17 @@ def entry_from_json(raw: Any) -> CorpusEntry:
         raw_original: Mapping[str, Any] = raw["original"]
     except KeyError:
         raise OracleError(f"entry {oracle.name!r} has no original input") from None
+    if not isinstance(raw_original, dict):
+        raise OracleError(
+            f"entry {oracle.name!r}: 'original' must map field names to values, "
+            f"got {raw_original!r}"
+        )
+    missing = [name for name in oracle.field_names if name not in raw_original]
+    if missing:
+        raise OracleError(
+            f"entry {oracle.name!r}: original input has no value for field(s) "
+            f"{', '.join(map(repr, missing))}"
+        )
     original = tuple(
         (name, value_from_json(raw_original[name], domain))
         for name, domain in oracle.fields

@@ -12,21 +12,23 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from scipy.stats import binom
 
 from .corpus import CorpusEntry
 from .errors import ConfigError, InvalidBaselineError
-from .model import DataValue, values_equal
+from .model import DataValue, TupleDomain, values_equal
 from .oracles import (
     BugOracle,
     evaluate,
     exhaustive_probability,
     technique_distribution,
 )
-from .rng import substream
+from .rng import substream, trial_streams
 from .techniques import (
+    AnonymizedRecord,
     GlobalRecodingConfig,
     LocalSuppressionConfig,
     NoiseAdditionConfig,
@@ -34,6 +36,7 @@ from .techniques import (
     SCDLocalSuppressionConfig,
     TechniqueConfig,
     anonymize,
+    draws_to_anonymize,
     regenerate,
     technique_name,
 )
@@ -159,19 +162,48 @@ def _run_chunk(
     start: int,
     stop: int,
 ) -> tuple[int, int]:
-    """Successes and disclosures over trials [start, stop)."""
+    """Successes and disclosures over trials [start, stop).
+
+    Each trial draws exactly what ``substream(seed, trial, index)`` gives
+    it.  Tuple fields take ``substream`` itself, because ``Generator.spawn``
+    needs the stream's own ``SeedSequence``; the others take the same states
+    from ``trial_streams``.  A field whose technique does not draw while
+    anonymizing is anonymized on the first trial only and regenerated from
+    that record on every later trial.
+    """
+    trials = range(start, stop)
+    plan = [
+        (
+            name,
+            domain,
+            original,
+            cfg,
+            draws_to_anonymize(cfg),
+            map(substream, repeat(seed), trials, repeat(index))
+            if isinstance(domain, TupleDomain)
+            else trial_streams(seed, trials, index),
+        )
+        for index, ((name, domain), original, cfg) in enumerate(
+            zip(oracle.fields, originals, per_field)
+        )
+    ]
+    records: list[AnonymizedRecord | None] = [None] * len(plan)
+
     successes = 0
     disclosures = 0
-    fields = oracle.fields
-    for trial in range(start, stop):
+    for _ in trials:
         assignment: dict[str, DataValue] = {}
         disclosed = True
-        for index, (name, domain) in enumerate(fields):
-            rng = substream(seed, trial, index)
-            record = anonymize(originals[index], domain, per_field[index], rng)
+        for index, (name, domain, original, cfg, draws, streams) in enumerate(plan):
+            rng = next(streams)
+            record = records[index]
+            if record is None:
+                record = anonymize(original, domain, cfg, rng)
+                if not draws:
+                    records[index] = record
             value = regenerate(record, rng)
             assignment[name] = value
-            if disclosed and not values_equal(originals[index], value):
+            if disclosed and not values_equal(original, value):
                 disclosed = False
         if evaluate(oracle, assignment):
             successes += 1

@@ -556,18 +556,31 @@ _DOMAIN_FIELDS = {
 }
 
 
+def _is_label_list(raw: Any) -> bool:
+    return isinstance(raw, list) and all(isinstance(label, str) for label in raw)
+
+
 def domain_from_json(raw: Any) -> DomainSpec:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise TraceParseError(f"domain must be an object with a 'kind': {raw!r}")
     kind = raw["kind"]
     if kind == "categorical":
-        try:
-            return CategoricalDomain(
-                categories=raw["categories"],
-                hierarchy=raw.get("hierarchy"),
+        if "categories" not in raw:
+            raise TraceParseError("domain is missing key 'categories'")
+        categories, hierarchy = raw["categories"], raw.get("hierarchy")
+        if not _is_label_list(categories):
+            raise TraceParseError(
+                f"categorical domain: 'categories' must be a list of strings, "
+                f"got {categories!r}"
             )
-        except KeyError as exc:
-            raise TraceParseError(f"domain is missing key {exc.args[0]!r}") from exc
+        if hierarchy is not None and not (
+            isinstance(hierarchy, dict) and all(map(_is_label_list, hierarchy.values()))
+        ):
+            raise TraceParseError(
+                f"categorical domain: 'hierarchy' must map group names to lists "
+                f"of strings, got {hierarchy!r}"
+            )
+        return CategoricalDomain(categories=categories, hierarchy=hierarchy)
     if isinstance(kind, str) and kind in _DOMAIN_FIELDS:
         cls, table = _DOMAIN_FIELDS[kind]
         return cls(**fields_from_json(table, raw, f"{kind} domain", element=domain_from_json))

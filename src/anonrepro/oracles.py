@@ -626,6 +626,10 @@ def oracle_to_json(oracle: BugOracle) -> dict[str, Any]:
 def oracle_from_json(raw: Any) -> BugOracle:
     if not isinstance(raw, dict):
         raise OracleError(f"an oracle is a JSON object, got {raw!r}")
+    if not isinstance(raw.get("fields", {}), dict):
+        raise OracleError(
+            f"oracle: 'fields' must map field names to domains, got {raw['fields']!r}"
+        )
     try:
         fields = tuple(
             (name, domain_from_json(d)) for name, d in raw["fields"].items()

@@ -465,6 +465,16 @@ def noise_addition_anonymize(
 # dispatchers
 
 
+def draws_to_anonymize(cfg: TechniqueConfig) -> bool:
+    """Whether ``anonymize`` draws from its stream under ``cfg``.
+
+    Only noise addition does.  Every other technique anonymizes a given
+    value to the same record each time, so a caller may anonymize once and
+    regenerate from that record.
+    """
+    return isinstance(cfg, NoiseAdditionConfig)
+
+
 def anonymize(
     value: DataValue,
     domain: DomainSpec,
@@ -478,17 +488,17 @@ def anonymize(
     leave it untouched (``Generator.spawn`` advances the generator, and
     callers regenerate from the same stream).
     """
-    noise = isinstance(cfg, NoiseAdditionConfig)
-    if noise and rng is None:
+    draws = draws_to_anonymize(cfg)
+    if draws and rng is None:
         raise ConfigError("noise addition needs a random stream")
     if not conforms(value, domain):
         raise NonConformingValueError(f"value {value!r} does not conform to {domain!r}")
     if isinstance(domain, TupleDomain):
         count = len(domain.components)
-        streams = split(rng, count) if noise else [rng] * count  # type: ignore[arg-type]
+        streams = split(rng, count) if draws else [rng] * count  # type: ignore[arg-type]
         parts = zip(value.components, domain.components, streams)  # type: ignore[union-attr]
         return TupleRecord(tuple(anonymize(v, d, cfg, r) for v, d, r in parts))
-    if noise:
+    if isinstance(cfg, NoiseAdditionConfig):
         return noise_addition_anonymize(value, domain, cfg, rng)  # type: ignore[arg-type]
     if isinstance(cfg, GlobalRecodingConfig):
         return global_recoding_anonymize(value, domain, cfg)

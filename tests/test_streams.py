@@ -1,0 +1,235 @@
+"""Block-derived trial streams draw exactly what ``substream`` draws, and the
+harness's trial plan counts exactly what a plain per-trial loop counts."""
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import anonrepro.cli as cli
+from anonrepro import corpus, harness, rng
+from anonrepro.harness import resolve_configs, run_trials
+from anonrepro.errors import UnsupportedTechniqueError
+from anonrepro.model import (
+    Continuous,
+    NumericDomain,
+    StringDomain,
+    Text,
+    TupleDomain,
+    TupleValue,
+    values_equal,
+)
+from anonrepro.oracles import BugOracle, InRange, LengthGt, evaluate
+from anonrepro.rng import substream, trial_streams
+from anonrepro.techniques import (
+    GlobalRecodingConfig,
+    LocalSuppressionConfig,
+    NoiseAdditionConfig,
+    RoundingConfig,
+    anonymize,
+    regenerate,
+)
+
+SEEDS = st.one_of(
+    st.sampled_from([0, 7, -1, 2**32 - 1, 2**32 + 5, 2**63, 2**64 - 1, 2**64 + 3, -(2**65)]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+STARTS = st.one_of(
+    st.integers(min_value=0, max_value=100),
+    st.sampled_from([2**32 - 5, 2**32, 2**64 - 3]),
+)
+INDEXES = st.one_of(st.integers(min_value=0, max_value=40), st.sampled_from([2**32, 2**33 + 1]))
+
+
+def assert_same_streams(seed, trials, index):
+    derived = trial_streams(seed, trials, index)
+    count = 0
+    for trial, generator in zip(trials, derived):
+        reference = substream(seed, trial, index)
+        assert generator.bit_generator.state == reference.bit_generator.state, trial
+        assert np.array_equal(generator.integers(0, 2**63, size=3),
+                              reference.integers(0, 2**63, size=3))
+        assert generator.random() == reference.random()
+        count += 1
+    assert count == len(trials)
+    assert next(derived, None) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, start=STARTS, length=st.integers(min_value=0, max_value=30),
+       index=INDEXES)
+def test_block_streams_equal_substream(seed, start, length, index):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "BLOCK", 8)  # short blocks: most ranges cross a boundary
+        assert_same_streams(seed, range(start, start + length), index)
+
+
+def test_block_streams_cross_a_full_block():
+    assert_same_streams(7, range(1000, 2100), 2)
+
+
+def corrupt(block_states):
+    def derive(*args):
+        return [(state ^ 1, inc) for state, inc in block_states(*args)]
+    return derive
+
+
+def test_mismatched_derivation_falls_back_to_substream(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substream(*args)
+
+    entry = corpus.load("birday")
+    cfg = LocalSuppressionConfig()
+    expected = run_trials(entry.oracle, entry.original_assignment, cfg, trials=300, seed=3)
+    monkeypatch.setattr(rng, "BLOCK", 64)
+    monkeypatch.setattr(rng, "_block_states", corrupt(rng._block_states))
+    monkeypatch.setattr(rng, "substream", counted)
+    assert_same_streams(11, range(5, 200), 1)
+    calls.clear()
+    report = run_trials(entry.oracle, entry.original_assignment, cfg, trials=300, seed=3)
+    assert (report.successes, report.disclosures) == (expected.successes, expected.disclosures)
+    # one self-check per block, then every trial of the block, for each field
+    blocks = -(-300 // 64)
+    assert len(calls) == len(entry.oracle.fields) * (300 + blocks)
+
+
+def reference_counts(oracle, original, config, trials, seed):
+    """The trial loop spelled out: one fresh substream per (trial, field)."""
+    per_field = resolve_configs(oracle, config)
+    successes = disclosures = 0
+    for trial in range(trials):
+        assignment = {}
+        disclosed = True
+        for index, (name, domain) in enumerate(oracle.fields):
+            stream = substream(seed, trial, index)
+            value = regenerate(anonymize(original[name], domain, per_field[index], stream), stream)
+            assignment[name] = value
+            disclosed = disclosed and values_equal(original[name], value)
+        successes += evaluate(oracle, assignment)
+        disclosures += disclosed
+    return successes, disclosures
+
+
+CORPUS = [(entry, cfg) for entry in corpus.load_all() for cfg in entry.configs]
+
+
+def test_corpus_counts_equal_the_per_trial_loop(monkeypatch):
+    trials, split, seed = 300, 137, 5
+    for entry, cfg in CORPUS:
+        oracle, original = entry.oracle, entry.original_assignment
+        report = run_trials(oracle, original, cfg, trials=trials, seed=seed)
+        counts = (report.successes, report.disclosures)
+        assert counts == reference_counts(oracle, original, cfg, trials, seed), entry.name
+        with monkeypatch.context() as patch:
+            patch.setattr(rng, "BLOCK", 64)
+            args = (oracle, tuple(original[n] for n in oracle.field_names),
+                    resolve_configs(oracle, cfg), seed)
+            head = harness._run_chunk(*args, 0, split)
+            tail = harness._run_chunk(*args, split, trials)
+        assert (head[0] + tail[0], head[1] + tail[1]) == counts, entry.name
+
+
+DATE = TupleDomain((NumericDomain(1, 31, integer=True), NumericDomain(1, 12, integer=True)))
+X = NumericDomain(0, 10, integer=True)
+DATED_ORIGINAL = {"x": Continuous(4), "date": TupleValue((Continuous(29), Continuous(2)))}
+
+
+@pytest.mark.parametrize("fields, tuple_index", [
+    ((("x", X), ("date", DATE)), 1),
+    ((("date", DATE), ("x", X)), 0),
+], ids=["tuple-last", "tuple-first"])
+@pytest.mark.parametrize("cfg", [
+    GlobalRecodingConfig(3), RoundingConfig(2), LocalSuppressionConfig(), NoiseAdditionConfig(0.4),
+], ids=lambda c: type(c).__name__)
+def test_tuple_fields_take_substream(monkeypatch, cfg, fields, tuple_index):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substream(*args)
+
+    oracle = BugOracle(name="dated", fields=fields, predicate=InRange("x", 2, 6))
+    monkeypatch.setattr(harness, "substream", counted)
+    report = run_trials(oracle, DATED_ORIGINAL, cfg, trials=200, seed=9)
+    assert (report.successes, report.disclosures) == reference_counts(
+        oracle, DATED_ORIGINAL, cfg, 200, 9)
+    assert calls == [(9, trial, tuple_index) for trial in range(200)]
+
+
+def test_first_failing_field_is_reported_first():
+    # Field "a" fails under noise addition; field "b" fails under rounding.
+    # The first trial meets "a" first, so its error is the one raised.
+    word = StringDomain("[a-z]", 1, 4)
+    oracle = BugOracle(name="words", fields=(("a", word), ("b", word)),
+                       predicate=LengthGt("a", 0))
+    original = {"a": Text("ab"), "b": Text("cd")}
+    config = {"a": NoiseAdditionConfig(0.5), "b": RoundingConfig(2)}
+    with pytest.raises(UnsupportedTechniqueError, match="noise addition"):
+        run_trials(oracle, original, config, trials=5, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# wrongly typed oracle and domain input exits 1
+
+
+def write(path, payload):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def exits_1_naming(argv, words, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "unexpected" not in err, err
+    for word in words:
+        assert word in err, err
+
+
+@pytest.mark.parametrize("domain, key", [
+    ({"kind": "categorical", "categories": 5}, "categories"),
+    ({"kind": "categorical", "categories": ["a", 1]}, "categories"),
+    ({"kind": "categorical", "categories": ["a", "b"], "hierarchy": {"g": "ab"}}, "hierarchy"),
+    ({"kind": "categorical", "categories": ["a", "b"], "hierarchy": ["a", "b"]}, "hierarchy"),
+])
+def test_anonymize_rejects_typed_categorical_domain(tmp_path, capsys, domain, key):
+    trace = write(tmp_path / "trace.json", {"events": [
+        {"action": "type", "widget": "w", "data": {"value": "a", "domain": domain}},
+    ]})
+    config = write(tmp_path / "cfg.json", {"technique": "local_suppression"})
+    exits_1_naming(["anonymize", "--trace", trace, "--config", config,
+                    "--out", str(tmp_path / "out.json")], [repr(key)], capsys)
+
+
+NUMERIC = {"kind": "numeric", "min": 0, "max": 10, "integer": True}
+
+
+def test_simulate_rejects_original_missing_a_field(tmp_path, capsys):
+    oracle = write(tmp_path / "two.json", {
+        "name": "two",
+        "fields": {"x": NUMERIC, "y": NUMERIC},
+        "predicate": {"op": "in_range", "field": "x", "lo": 1, "hi": 5},
+        "original": {"x": "3"},
+        "configs": [{"technique": "local_suppression"}],
+    })
+    run = write(tmp_path / "run.json", {"oracles": [oracle], "trials": 10})
+    exits_1_naming(["simulate", "--config", run, "--out", str(tmp_path / "o")],
+                   ["'two'", "'y'"], capsys)
+
+
+def test_simulate_rejects_fields_that_are_not_an_object(tmp_path, capsys):
+    oracle = write(tmp_path / "listed.json", {
+        "name": "listed",
+        "fields": [],
+        "predicate": {"op": "in_range", "field": "x", "lo": 1, "hi": 5},
+        "original": {"x": "3"},
+        "configs": [{"technique": "local_suppression"}],
+    })
+    run = write(tmp_path / "run.json", {"oracles": [oracle], "trials": 10})
+    exits_1_naming(["simulate", "--config", run, "--out", str(tmp_path / "o")],
+                   ["'fields'"], capsys)
