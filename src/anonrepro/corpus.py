@@ -18,10 +18,10 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
-from .errors import OracleError
-from .model import DataValue, conforms, value_from_json, value_to_json
+from .errors import OracleError, ValidationError
+from .model import DataValue, check_type, conforms, value_from_json, value_to_json
 from .oracles import BugOracle, evaluate, oracle_from_json, oracle_to_json
 from .techniques import TechniqueConfig, config_from_json, config_to_json
 
@@ -75,31 +75,33 @@ def entry_from_json(raw: Any) -> CorpusEntry:
     if not isinstance(raw, dict):
         raise OracleError(f"a corpus entry is a JSON object, got {raw!r}")
     oracle = oracle_from_json(raw)
-    try:
-        raw_original: Mapping[str, Any] = raw["original"]
-    except KeyError:
-        raise OracleError(f"entry {oracle.name!r} has no original input") from None
-    if not isinstance(raw_original, dict):
-        raise OracleError(
-            f"entry {oracle.name!r}: 'original' must map field names to values, "
-            f"got {raw_original!r}"
-        )
+    where = f"entry {oracle.name!r}"
+    if "original" not in raw:
+        raise OracleError(f"{where} has no original input")
+    raw_original = check_type(raw["original"], (dict,), where, "original", OracleError)
     missing = [name for name in oracle.field_names if name not in raw_original]
     if missing:
         raise OracleError(
-            f"entry {oracle.name!r}: original input has no value for field(s) "
+            f"{where}: original input has no value for field(s) "
             f"{', '.join(map(repr, missing))}"
+        )
+    extra = [name for name in raw_original if name not in oracle.field_names]
+    if extra:
+        raise OracleError(
+            f"{where}: 'original' names field(s) {', '.join(map(repr, extra))} "
+            f"that the oracle does not have"
         )
     original = tuple(
         (name, value_from_json(raw_original[name], domain))
         for name, domain in oracle.fields
     )
-    configs = tuple(config_from_json(c) for c in raw.get("configs", []))
+    configs = check_type(raw.get("configs", []), (list,), where, "configs", OracleError)
+    metadata = check_type(raw.get("metadata", {}), (dict,), where, "metadata", OracleError)
     return CorpusEntry(
         oracle=oracle,
         original=original,
-        configs=configs,
-        metadata=dict(raw.get("metadata", {})),
+        configs=tuple(map(config_from_json, configs)),
+        metadata=metadata,
     )
 
 
@@ -131,7 +133,10 @@ def _parse(text: str, source: str) -> CorpusEntry:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise OracleError(f"oracle file {source!r} is not valid JSON: {exc}") from exc
-    return entry_from_json(raw)
+    try:
+        return entry_from_json(raw)
+    except ValidationError as exc:
+        raise type(exc)(f"oracle file {source!r}: {exc}") from exc
 
 
 def load(name_or_path: str) -> CorpusEntry:

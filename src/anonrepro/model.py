@@ -366,35 +366,16 @@ class FailureTrace:
 
 
 def domain_to_json(domain: DomainSpec) -> dict[str, Any]:
-    if isinstance(domain, NumericDomain):
-        out: dict[str, Any] = {
-            "kind": "numeric",
-            "min": domain.min,
-            "max": domain.max,
-            "max_inclusive": domain.max_inclusive,
-            "integer": domain.integer,
-        }
-        if domain.precision is not None:
-            out["precision"] = domain.precision
-        return out
     if isinstance(domain, CategoricalDomain):
-        out = {"kind": "categorical", "categories": list(domain.categories)}
+        out: dict[str, Any] = {"kind": "categorical", "categories": list(domain.categories)}
         if domain.hierarchy is not None:
             out["hierarchy"] = {name: list(m) for name, m in domain.hierarchy}
         return out
-    if isinstance(domain, StringDomain):
-        return {
-            "kind": "string",
-            "char_class": domain.char_class,
-            "length_min": domain.length_min,
-            "length_max": domain.length_max,
-        }
-    if isinstance(domain, TupleDomain):
-        return {
-            "kind": "tuple",
-            "components": [domain_to_json(c) for c in domain.components],
-        }
-    raise DomainError(f"unknown domain {domain!r}")
+    kind = _DOMAIN_KINDS.get(type(domain))
+    if kind is None:
+        raise DomainError(f"unknown domain {domain!r}")
+    table = _DOMAIN_FIELDS[kind][1]
+    return {"kind": kind, **fields_to_json(table, domain, domain_to_json, omit_none=True)}
 
 
 _DOMAIN_KINDS = {
@@ -410,6 +391,8 @@ _TYPE_NAMES = {
     bool: "true or false",
     str: "a string",
     type(None): "null",
+    dict: "an object",
+    list: "an array",
 }
 
 

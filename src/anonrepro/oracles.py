@@ -40,6 +40,8 @@ from .model import (
     StringDomain,
     Text,
     TupleDomain,
+    _char_class_set,
+    check_type,
     conforms,
     domain_from_json,
     domain_to_json,
@@ -210,7 +212,11 @@ def _is_decimal_literal(text: str, separator: str) -> bool:
 
 
 def evaluate_expr(expr: OracleExpr, assignment: Mapping[str, DataValue]) -> bool:
-    """Evaluate a predicate node against field values."""
+    """Evaluate a predicate node against field values.
+
+    Unchecked: every field the node reads must be present.  ``evaluate``
+    checks presence and conformance first.
+    """
     if isinstance(expr, And):
         return all(evaluate_expr(a, assignment) for a in expr.args)
     if isinstance(expr, Or):
@@ -218,11 +224,11 @@ def evaluate_expr(expr: OracleExpr, assignment: Mapping[str, DataValue]) -> bool
     if isinstance(expr, Not):
         return not evaluate_expr(expr.arg, assignment)
     if isinstance(expr, IsLeapDay):
-        day = _number(_lookup(assignment, expr.day), expr.day)
-        month = _number(_lookup(assignment, expr.month), expr.month)
-        year = _number(_lookup(assignment, expr.year), expr.year)
+        day = _number(assignment[expr.day], expr.day)
+        month = _number(assignment[expr.month], expr.month)
+        year = _number(assignment[expr.year], expr.year)
         return day == 29 and month == 2 and is_gregorian_leap_year(int(year))
-    value = _lookup(assignment, expr.field)
+    value = assignment[expr.field]
     if isinstance(expr, Equals):
         if isinstance(expr.value, str):
             return _text(value, expr.field) == expr.value
@@ -232,7 +238,7 @@ def evaluate_expr(expr: OracleExpr, assignment: Mapping[str, DataValue]) -> bool
     if isinstance(expr, Contains):
         return expr.substring in _text(value, expr.field)
     if isinstance(expr, MatchesClass):
-        allowed = set(expand_char_class(expr.char_class))
+        allowed = _char_class_set(expr.char_class)
         return all(c in allowed for c in _text(value, expr.field))
     if isinstance(expr, EndsWith):
         return _text(value, expr.field).endswith(expr.suffix)
@@ -248,13 +254,6 @@ def evaluate_expr(expr: OracleExpr, assignment: Mapping[str, DataValue]) -> bool
     if isinstance(expr, LengthGt):
         return len(_text(value, expr.field)) > expr.length
     raise EvaluationError(f"unknown predicate node {expr!r}")
-
-
-def _lookup(assignment: Mapping[str, DataValue], field: str) -> DataValue:
-    try:
-        return assignment[field]
-    except KeyError:
-        raise EvaluationError(f"assignment is missing oracle field {field!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +354,9 @@ def evaluate(oracle: BugOracle, assignment: Mapping[str, DataValue]) -> bool:
     EvaluationError names the offending field.
     """
     for name, domain in oracle.fields:
-        value = _lookup(assignment, name)
+        if name not in assignment:
+            raise EvaluationError(f"assignment is missing oracle field {name!r}")
+        value = assignment[name]
         if not conforms(value, domain):
             raise EvaluationError(
                 f"field {name!r} value {value!r} does not conform to its domain"
@@ -626,19 +627,17 @@ def oracle_to_json(oracle: BugOracle) -> dict[str, Any]:
 def oracle_from_json(raw: Any) -> BugOracle:
     if not isinstance(raw, dict):
         raise OracleError(f"an oracle is a JSON object, got {raw!r}")
-    if not isinstance(raw.get("fields", {}), dict):
-        raise OracleError(
-            f"oracle: 'fields' must map field names to domains, got {raw['fields']!r}"
-        )
-    try:
-        fields = tuple(
-            (name, domain_from_json(d)) for name, d in raw["fields"].items()
-        )
-        return BugOracle(
-            name=raw["name"],
-            fields=fields,
-            predicate=expr_from_json(raw["predicate"]),
-            description=raw.get("description", ""),
-        )
-    except KeyError as exc:
-        raise OracleError(f"oracle is missing key {exc.args[0]!r}") from exc
+    for key in ("name", "fields", "predicate"):
+        if key not in raw:
+            raise OracleError(f"oracle is missing key {key!r}")
+    name = check_type(raw["name"], (str,), "oracle", "name", OracleError)
+    where = f"oracle {name!r}"
+    fields = check_type(raw["fields"], (dict,), where, "fields", OracleError)
+    return BugOracle(
+        name=name,
+        fields=tuple((field, domain_from_json(d)) for field, d in fields.items()),
+        predicate=expr_from_json(raw["predicate"]),
+        description=check_type(
+            raw.get("description", ""), (str,), where, "description", OracleError
+        ),
+    )
