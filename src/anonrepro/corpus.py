@@ -27,6 +27,8 @@ from .techniques import TechniqueConfig, config_from_json, config_to_json
 
 ENV_CORPUS_DIR = "ANONREPRO_CORPUS"
 
+_ENTRY_KEYS = ("name", "description", "fields", "predicate", "original", "configs", "metadata")
+
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -76,6 +78,9 @@ def entry_from_json(raw: Any) -> CorpusEntry:
         raise OracleError(f"a corpus entry is a JSON object, got {raw!r}")
     oracle = oracle_from_json(raw)
     where = f"entry {oracle.name!r}"
+    unknown = [key for key in raw if key not in _ENTRY_KEYS]
+    if unknown:
+        raise OracleError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
     if "original" not in raw:
         raise OracleError(f"{where} has no original input")
     raw_original = check_type(raw["original"], (dict,), where, "original", OracleError)

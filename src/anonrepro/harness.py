@@ -6,11 +6,26 @@ bug oracle whether the regenerated assignment still triggers the failure.
 Every trial draws from its own random substream keyed by (seed, trial,
 field index), so results do not depend on execution order and a parallel
 run reproduces a serial one bit for bit.
+
+``run_trials(workers=N)`` splits a run's trials into chunks over one
+process pool shared by every call in the process.  The pool is started on
+the first parallel call, with ``min(N, usable CPUs)`` workers, and is
+reused by every later call that asks for that size.  A call that asks for
+another size shuts the old pool down, waiting for its workers, before the
+new one starts; a call that finds a worker dead drops the pool and raises
+``BrokenProcessPool``, and the next call starts a fresh one.  Workers are
+forked when the pool starts (the default start method on Linux), so a
+change made to module globals after that (a monkeypatched ``rng.BLOCK``,
+say) does not reach them.  ``concurrent.futures`` joins the workers when
+the interpreter exits.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Mapping, Sequence
@@ -217,6 +232,38 @@ def _run_chunk(
     return successes, disclosures
 
 
+_pool_lock = threading.Lock()
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # platforms without CPU affinity
+
+
+def _worker_pool(size: int) -> ProcessPoolExecutor:
+    """The process's pool of ``size`` workers, started on first use.
+
+    Call with ``_pool_lock`` held.
+    """
+    global _pool
+    if _pool is not None and _pool[0] != size:
+        _drop_pool()
+    if _pool is None:
+        _pool = (size, ProcessPoolExecutor(max_workers=size))
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut the pool down and wait for its workers; the next call starts anew."""
+    global _pool
+    if _pool is not None:
+        _, pool = _pool
+        _pool = None
+        pool.shutdown(wait=True)
+
+
 def run_trials(
     oracle: BugOracle,
     original: Mapping[str, DataValue],
@@ -231,6 +278,13 @@ def run_trials(
 
     The original assignment must itself trigger the oracle; anything else
     would measure reproduction of a non-failure.
+
+    With ``workers`` > 1 the trials are split into one chunk per worker of
+    the process's shared pool, sized ``min(workers, usable CPUs)``; at one
+    usable CPU, or fewer than two trials per worker, the run is serial.  The
+    counts are the serial run's whatever the split.  An error raised in a
+    chunk reaches the caller as it would serially, and the pool is kept; a
+    dead worker raises ``BrokenProcessPool`` and the pool is dropped.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
@@ -242,26 +296,31 @@ def run_trials(
         )
     per_field = resolve_configs(oracle, config)
     originals = tuple(original[name] for name in oracle.field_names)
-    if workers == 1 or trials < 2 * workers:
+    size = min(workers, _usable_cpus())
+    if size == 1 or trials < 2 * size:
         successes, disclosures = _run_chunk(
             oracle, originals, per_field, seed, 0, trials
         )
     else:
         # Totals are order-independent sums, so any chunking reproduces
         # the serial run exactly.
-        bounds = [round(trials * i / workers) for i in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _run_chunk,
-                    [oracle] * workers,
-                    [originals] * workers,
-                    [per_field] * workers,
-                    [seed] * workers,
-                    bounds[:-1],
-                    bounds[1:],
+        bounds = [round(trials * i / size) for i in range(size + 1)]
+        with _pool_lock:
+            try:
+                parts = list(
+                    _worker_pool(size).map(
+                        _run_chunk,
+                        [oracle] * size,
+                        [originals] * size,
+                        [per_field] * size,
+                        [seed] * size,
+                        bounds[:-1],
+                        bounds[1:],
+                    )
                 )
-            )
+            except BrokenProcessPool:
+                _drop_pool()
+                raise
         successes = sum(s for s, _ in parts)
         disclosures = sum(d for _, d in parts)
     technique, label, summary = _describe(oracle, per_field)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import anonrepro.cli as cli
+from anonrepro import corpus
 from anonrepro.harness import TrialReport
 from anonrepro.model import parse_trace
 from anonrepro.report import (
@@ -282,6 +283,29 @@ def test_simulate_custom_techniques_and_verify(tmp_path, monkeypatch):
     assert len(verifications) == 1
     assert verifications[0].passed
     assert verifications[0].trials == 3000
+
+
+def test_simulate_verify_is_byte_identical_across_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "VERIFY_MIN_TRIALS", 3000)
+    cfg = run_config(tmp_path, oracles=["food_scale_droid"], verify=True)
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+    for out, workers in zip(outs, ("1", "2")):
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--workers", workers]) == 0
+    for name in ("trials.csv", "aggregate.csv", "verification.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+
+def test_simulate_rejects_unknown_oracle_file_keys(tmp_path, capsys):
+    entry = corpus.entry_to_json(corpus.load("birday"))
+    entry["confgs"] = entry.pop("configs")
+    oracle = tmp_path / "typo.json"
+    oracle.write_text(json.dumps(entry))
+    cfg = run_config(tmp_path, oracles=[str(oracle)])
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "'confgs'" in err and "typo.json" in err and "unexpected" not in err
 
 
 def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):

@@ -2,10 +2,18 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
+from pathlib import Path
 
 import pytest
 
-from anonrepro import corpus
+from anonrepro import corpus, harness
 from anonrepro.errors import ConfigError, InvalidBaselineError
 from anonrepro.harness import (
     AggregateRow,
@@ -20,7 +28,7 @@ from anonrepro.harness import (
     verify_against_bruteforce,
 )
 from anonrepro.model import Continuous, NumericDomain, StringDomain, Text
-from anonrepro.oracles import BugOracle, Contains, Equals, InRange
+from anonrepro.oracles import BugOracle, Contains, Equals, InRange, Or
 from anonrepro.techniques import (
     GlobalRecodingConfig,
     LengthPolicy,
@@ -323,3 +331,113 @@ def test_verify_string_oracle_against_closed_form():
     )
     assert math.isclose(result.exact_probability, 1 - (11 / 12) ** 3, rel_tol=1e-12)
     assert result.passed
+
+
+# ---------------------------------------------------------------------------
+# the shared worker pool
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Log every pool the harness starts or shuts down, on a 4-CPU mask.
+
+    No pool outlives the test, and none from an earlier test is reused.
+    """
+    log = []
+
+    class Logged(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            assert max_workers <= 4, f"would start a {max_workers}-worker pool"
+            log.append(("start", max_workers))
+            super().__init__(max_workers=max_workers)
+
+        def shutdown(self, wait=True, **kwargs):
+            log.append(("shutdown", wait))
+            super().shutdown(wait=wait, **kwargs)
+
+    harness._drop_pool()
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    yield log
+    harness._drop_pool()
+
+
+def coin_counts(workers=1, oracle=None):
+    report = run_trials(
+        oracle or coin_oracle(), {"x": Continuous(1)}, LocalSuppressionConfig(),
+        trials=400, seed=3, workers=workers,
+    )
+    return report.successes, report.disclosures
+
+
+def test_parallel_calls_share_one_pool(pool_log):
+    serial = coin_counts()
+    assert coin_counts(workers=2) == serial
+    assert coin_counts(workers=2) == serial
+    assert pool_log == [("start", 2)]
+
+
+def test_a_new_size_replaces_the_pool(pool_log):
+    serial = coin_counts()
+    assert coin_counts(workers=2) == serial
+    assert coin_counts(workers=3) == serial
+    assert coin_counts(workers=3) == serial
+    assert pool_log == [("start", 2), ("shutdown", True), ("start", 3)]
+
+
+def test_pool_is_capped_at_the_usable_cpus(pool_log, monkeypatch):
+    serial = coin_counts()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert coin_counts(workers=5000) == serial
+    assert pool_log == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert coin_counts(workers=5000) == serial
+    assert pool_log == [("start", 2)]
+
+
+def test_a_dead_worker_fails_one_call_and_the_next_starts_a_fresh_pool(pool_log):
+    entry = corpus.load("birday")
+    cfg = entry.configs[0]
+
+    def counts(workers):
+        report = run_trials(entry.oracle, entry.original_assignment, cfg,
+                            trials=4000, seed=13, workers=workers)
+        return report.successes, report.disclosures
+
+    serial = counts(1)
+    assert counts(2) == serial
+    victim = next(iter(harness._pool[1]._processes.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    assert wait([victim.sentinel], timeout=30)
+    with pytest.raises(BrokenProcessPool):
+        counts(2)
+    assert harness._pool is None
+    assert counts(2) == serial
+    assert pool_log == [("start", 2), ("shutdown", True), ("start", 2)]
+
+
+def test_an_error_in_a_chunk_reaches_the_caller_and_keeps_the_pool(pool_log):
+    # the original (x = 1) stops at the first branch; a regenerated 2 reaches
+    # the malformed second one
+    oracle = BugOracle("malformed", (("x", COIN),), Or((Equals("x", 1.0), Equals("x", None))))
+    with pytest.raises(TypeError) as serial:
+        coin_counts(oracle=oracle)
+    with pytest.raises(TypeError) as parallel:
+        coin_counts(workers=2, oracle=oracle)
+    assert str(parallel.value) == str(serial.value)
+    assert coin_counts(workers=2) == coin_counts()
+    assert pool_log == [("start", 2)]
+
+
+def test_simulate_with_workers_exits_without_leaving_workers(tmp_path):
+    # a worker left alive would keep the interpreter from exiting
+    config = tmp_path / "run.json"
+    config.write_text('{"oracles": ["birday"], "trials": 400, "seed": 7}')
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from anonrepro.cli import main; sys.exit(main())",
+         "simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--workers", "2"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
