@@ -5,7 +5,11 @@ assignment, regenerates a concrete value from each record, and asks the
 bug oracle whether the regenerated assignment still triggers the failure.
 Every trial draws from its own random substream keyed by (seed, trial,
 field index), so results do not depend on execution order and a parallel
-run reproduces a serial one bit for bit.
+run reproduces a serial one bit for bit.  The trials are regenerated a
+block at a time, one column per field, from the streams' word tape
+(``rng.TrialBlock``, ``techniques.regenerate_block``), and then scored one
+by one; the counts are those of the per-trial loop.  SCD length raises are
+counted and logged once per run.
 
 ``run_trials(workers=N)`` splits a run's trials into chunks over one
 process pool shared by every call in the process.  The pool is started on
@@ -21,9 +25,11 @@ the interpreter exits.
 """
 from __future__ import annotations
 
+import logging
 import math
 import os
 import threading
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -42,7 +48,7 @@ from .oracles import (
     exhaustive_probability,
     technique_distribution,
 )
-from .rng import substream, trial_streams
+from .rng import TrialBlock, blocks, substream
 from .techniques import (
     AnonymizedRecord,
     GlobalRecodingConfig,
@@ -54,8 +60,11 @@ from .techniques import (
     anonymize,
     draws_to_anonymize,
     regenerate,
+    regenerate_block,
     technique_name,
 )
+
+log = logging.getLogger(__name__)
 
 DEFAULT_CONFIDENCE = 0.95
 
@@ -177,59 +186,63 @@ def _run_chunk(
     seed: int,
     start: int,
     stop: int,
-) -> tuple[int, int]:
-    """Successes and disclosures over trials [start, stop).
+) -> tuple[int, int, Counter]:
+    """Successes, disclosures and length raises over trials [start, stop).
 
     Each trial draws exactly what ``substream(seed, trial, index)`` gives
-    it.  Tuple fields take ``substream`` itself, because ``Generator.spawn``
-    needs the stream's own ``SeedSequence``; the others take the same states
-    from ``trial_streams``.  A field whose technique does not draw while
-    anonymizing is anonymized on the first trial only and regenerated from
-    that record on every later trial.
+    it.  The trials are taken a block at a time (``rng.blocks``): each field
+    is regenerated for the whole block as one column
+    (``techniques.regenerate_block``, from the block's derived streams), and
+    then each trial of the block is scored.  Tuple fields take ``substream``
+    itself, one trial at a time, because ``Generator.spawn`` needs the
+    stream's own ``SeedSequence``.  A field whose technique does not draw
+    while anonymizing is anonymized once and regenerated from that record in
+    every trial.
 
-    The originals are checked by ``run_trials`` and every regenerated value
-    conforms to its domain, so trials are scored by ``evaluate_expr``
-    without checking the assignment again.
+    Length raises are counted per (field, specials' count) instead of being
+    logged per trial.  The originals are checked by ``run_trials`` and every
+    regenerated value conforms to its domain, so trials are scored by
+    ``evaluate_expr`` without checking the assignment again.
     """
-    trials = range(start, stop)
-    plan = [
-        (
-            name,
-            domain,
-            original,
-            cfg,
-            draws_to_anonymize(cfg),
-            map(substream, repeat(seed), trials, repeat(index))
-            if isinstance(domain, TupleDomain)
-            else trial_streams(seed, trials, index),
-        )
-        for index, ((name, domain), original, cfg) in enumerate(
-            zip(oracle.fields, originals, per_field)
-        )
-    ]
-    records: list[AnonymizedRecord | None] = [None] * len(plan)
-
+    names = oracle.field_names
+    records: list[AnonymizedRecord | None] = [None] * len(originals)
+    raises = [Counter() for _ in originals]
     successes = 0
     disclosures = 0
-    for _ in trials:
-        assignment: dict[str, DataValue] = {}
-        disclosed = True
-        for index, (name, domain, original, cfg, draws, streams) in enumerate(plan):
-            rng = next(streams)
+    for block in blocks(range(start, stop)):
+        columns = []
+        for index, ((_, domain), original, cfg) in enumerate(
+            zip(oracle.fields, originals, per_field)
+        ):
             record = records[index]
-            if record is None:
-                record = anonymize(original, domain, cfg, rng)
-                if not draws:
-                    records[index] = record
-            value = regenerate(record, rng)
-            assignment[name] = value
-            if disclosed and not values_equal(original, value):
-                disclosed = False
-        if evaluate_expr(oracle.predicate, assignment):
-            successes += 1
-        if disclosed:
-            disclosures += 1
-    return successes, disclosures
+            if record is None and not draws_to_anonymize(cfg):
+                record = records[index] = anonymize(original, domain, cfg)
+            if isinstance(domain, TupleDomain):
+                columns.append([
+                    regenerate(
+                        record if record is not None
+                        else anonymize(original, domain, cfg, rng),
+                        rng,
+                        raises[index],
+                    )
+                    for rng in map(substream, repeat(seed), block, repeat(index))
+                ])
+            else:
+                columns.append(regenerate_block(
+                    original, domain, cfg, record,
+                    TrialBlock(seed, block, index), raises[index],
+                ))
+        for values in zip(*columns):
+            if evaluate_expr(oracle.predicate, dict(zip(names, values))):
+                successes += 1
+            if all(map(values_equal, originals, values)):
+                disclosures += 1
+    length_raises = Counter({
+        (name, needed): count
+        for name, counts in zip(names, raises)
+        for needed, count in counts.items()
+    })
+    return successes, disclosures, length_raises
 
 
 _pool_lock = threading.Lock()
@@ -298,7 +311,7 @@ def run_trials(
     originals = tuple(original[name] for name in oracle.field_names)
     size = min(workers, _usable_cpus())
     if size == 1 or trials < 2 * size:
-        successes, disclosures = _run_chunk(
+        successes, disclosures, raises = _run_chunk(
             oracle, originals, per_field, seed, 0, trials
         )
     else:
@@ -321,8 +334,18 @@ def run_trials(
             except BrokenProcessPool:
                 _drop_pool()
                 raise
-        successes = sum(s for s, _ in parts)
-        disclosures = sum(d for _, d in parts)
+        successes = sum(s for s, _, _ in parts)
+        disclosures = sum(d for _, d, _ in parts)
+        raises = sum((r for _, _, r in parts), Counter())
+    for (name, needed), count in sorted(raises.items()):
+        log.warning(
+            "raising regenerated length of field %r to fit %d special characters "
+            "in %d/%d trials",
+            name,
+            needed,
+            count,
+            trials,
+        )
     technique, label, summary = _describe(oracle, per_field)
     return TrialReport(
         oracle=oracle.name,

@@ -29,6 +29,7 @@ import logging
 import math
 import string
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Union
@@ -60,11 +61,12 @@ from .model import (
     fields_from_json,
     fields_to_json,
 )
-from .rng import split
+from .rng import TAPE_WORDS, TrialBlock, bounded, split, uniform
 
 log = logging.getLogger(__name__)
 
 _ALNUM = frozenset(string.ascii_letters + string.digits)
+_MASK32 = (1 << 32) - 1
 
 
 def is_special_char(char: str) -> bool:
@@ -279,6 +281,16 @@ def _grid_floor(x: float, scale: int) -> int:
     return idx
 
 
+def _grid_bounds(lo: float, hi: float, hi_inclusive: bool, scale: int) -> tuple[int, int]:
+    """Inclusive bounds, in grid steps of 1/scale, of the grid points inside
+    [lo, hi] (or [lo, hi)); lo_idx > hi_idx when there are none."""
+    lo_idx = _grid_ceil(lo, scale)
+    hi_idx = _grid_floor(hi, scale)
+    if not hi_inclusive and hi_idx / scale == hi:
+        hi_idx -= 1
+    return lo_idx, hi_idx
+
+
 def _sample_real(
     lo: float, hi: float, hi_inclusive: bool, precision: int, rng: np.random.Generator
 ) -> float:
@@ -286,10 +298,7 @@ def _sample_real(
     ``precision`` fraction digits.  Falls back to a raw uniform draw when the
     interval is narrower than one grid step."""
     scale = 10**precision
-    lo_idx = _grid_ceil(lo, scale)
-    hi_idx = _grid_floor(hi, scale)
-    if not hi_inclusive and hi_idx / scale == hi:
-        hi_idx -= 1
+    lo_idx, hi_idx = _grid_bounds(lo, hi, hi_inclusive, scale)
     if lo_idx > hi_idx:
         return float(rng.uniform(lo, hi))
     return int(rng.integers(lo_idx, hi_idx + 1)) / scale
@@ -543,7 +552,9 @@ def _random_string(domain: StringDomain, length: int, rng: np.random.Generator) 
     return "".join(alphabet[int(i)] for i in picks)
 
 
-def _regenerate_special_chars(rec: SpecialChars, rng: np.random.Generator) -> Text:
+def _regenerate_special_chars(
+    rec: SpecialChars, rng: np.random.Generator, length_raises: Counter | None
+) -> Text:
     domain = rec.domain
     length = (
         rec.length_hint
@@ -552,11 +563,14 @@ def _regenerate_special_chars(rec: SpecialChars, rng: np.random.Generator) -> Te
     )
     needed = len(rec.specials)
     if length < needed:
-        log.warning(
-            "raising regenerated length %d to %d to fit special characters",
-            length,
-            needed,
-        )
+        if length_raises is None:
+            log.warning(
+                "raising regenerated length %d to %d to fit special characters",
+                length,
+                needed,
+            )
+        else:
+            length_raises[needed] += 1
         length = needed
     chars = list(_random_string(domain, length, rng))
     positions = rng.choice(length, size=needed, replace=False)
@@ -566,14 +580,26 @@ def _regenerate_special_chars(rec: SpecialChars, rng: np.random.Generator) -> Te
     return Text("".join(chars))
 
 
-def regenerate(record: AnonymizedRecord, rng: np.random.Generator) -> DataValue:
-    """Draw a concrete value for ``record``; Concrete records are identity."""
+def regenerate(
+    record: AnonymizedRecord,
+    rng: np.random.Generator,
+    length_raises: Counter | None = None,
+) -> DataValue:
+    """Draw a concrete value for ``record``; Concrete records are identity.
+
+    A special-character record whose drawn length cannot hold its specials
+    is regenerated at the specials' count.  That is logged as a warning, or,
+    when ``length_raises`` is given, counted there under the specials' count.
+    """
     if isinstance(record, Concrete):
         return record.value
     if isinstance(record, TupleRecord):
         streams = split(rng, len(record.components))
         return TupleValue(
-            tuple(regenerate(r, g) for r, g in zip(record.components, streams))
+            tuple(
+                regenerate(r, g, length_raises)
+                for r, g in zip(record.components, streams)
+            )
         )
     if isinstance(record, IntervalGroup):
         return _sample_numeric(
@@ -583,10 +609,307 @@ def regenerate(record: AnonymizedRecord, rng: np.random.Generator) -> DataValue:
         members = record.domain.group_members(record.group_label)
         return Categorical(members[int(rng.integers(len(members)))])
     if isinstance(record, SpecialChars):
-        return _regenerate_special_chars(record, rng)
+        return _regenerate_special_chars(record, rng, length_raises)
     if isinstance(record, Suppressed):
         return _random_value(record.domain, rng, record.length_hint)
     raise ConfigError(f"unknown anonymized record {record!r}")
+
+
+# ---------------------------------------------------------------------------
+# columns: one field regenerated for a whole block of trials
+#
+# Each column function mirrors one scalar sampler above and reproduces the
+# numpy algorithm behind each of its draws on the block's tape (see rng).
+# It returns the values, the trials it leaves to the scalar path (a rejected
+# draw, a draw past the tape), and the length raises among the others; or
+# None when the record's parameters have no column form.
+
+Column = tuple[list[DataValue], np.ndarray, Counter]
+
+#: Integers beyond this do not survive a round trip through float64.
+_EXACT = 2**53
+#: Character positions a string column draws at a time.
+_SLAB = 32
+
+
+def _integer_column(
+    block: TrialBlock, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``rng.integers(lo, hi + 1)`` per trial, and the trials it rejects."""
+    if not -_EXACT < lo <= hi < _EXACT or hi - lo > _MASK32:
+        return None
+    if lo == hi:  # numpy draws nothing for an empty range
+        return np.full(len(block), lo, dtype=np.int64), np.zeros(len(block), bool)
+    value, rejected = bounded(block.halves(1)[0], hi - lo)
+    return value + lo, rejected
+
+
+def _real_column(
+    block: TrialBlock, lo: float, hi: float, hi_inclusive: bool, precision: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_sample_real`` per trial, as float64."""
+    scale = 10**precision
+    lo_idx, hi_idx = _grid_bounds(lo, hi, hi_inclusive, scale)
+    if lo_idx > hi_idx:
+        return uniform(block.words(1)[0], lo, hi), np.zeros(len(block), bool)
+    drawn = _integer_column(block, lo_idx, hi_idx)
+    if drawn is None or scale > _EXACT:  # the grid step is no longer exact
+        return None
+    return drawn[0] / scale, drawn[1]
+
+
+def _continuous(values: np.ndarray, precision: int) -> list[DataValue]:
+    """``Continuous(v, precision)`` per value, one object per distinct value."""
+    distinct, which = np.unique(values, return_inverse=True)
+    objects = [Continuous(v, precision) for v in distinct.tolist()]
+    return [objects[i] for i in which.tolist()]
+
+
+def _numeric_column(
+    block: TrialBlock, domain: NumericDomain, lo: float, hi: float, hi_inclusive: bool
+) -> Column | None:
+    """``_sample_numeric`` per trial."""
+    if domain.integer:
+        drawn = _integer_column(block, *integer_bounds(lo, hi, hi_inclusive))
+        precision = 0
+    else:
+        precision = domain.effective_precision
+        drawn = _real_column(block, lo, hi, hi_inclusive, precision)
+    if drawn is None:
+        return None
+    return _continuous(drawn[0].astype(np.float64), precision), drawn[1], Counter()
+
+
+def _categorical_column(block: TrialBlock, labels: tuple[str, ...]) -> Column | None:
+    """``Categorical(labels[rng.integers(len(labels))])`` per trial."""
+    drawn = _integer_column(block, 0, len(labels) - 1)
+    if drawn is None:
+        return None
+    objects = [Categorical(label) for label in labels]
+    return [objects[i] for i in drawn[0].tolist()], drawn[1], Counter()
+
+
+class _Reader:
+    """Each trial's position in a block's stream of 32-bit draws."""
+
+    def __init__(self, halves: np.ndarray, start: np.ndarray, leftover: np.ndarray):
+        self.halves = halves
+        self.cursor = start
+        self.leftover = leftover
+        self.rows = np.arange(halves.shape[1])
+
+    def _next(self, pending: np.ndarray) -> np.ndarray:
+        """The next 32-bit value of each pending trial; a trial past the tape
+        is left over."""
+        end = len(self.halves)
+        self.leftover |= pending & (self.cursor >= end)
+        value = self.halves[np.minimum(self.cursor, end - 1), self.rows]
+        self.cursor += pending
+        return value
+
+    def bounded(self, top: np.ndarray) -> np.ndarray:
+        """``random_bounded_uint64(0, top)`` per trial: Lemire's method,
+        where a trial whose draw numpy would reject is left over."""
+        take = top > 0
+        value, rejected = bounded(self._next(take), top)
+        self.leftover |= take & rejected
+        return np.where(take, value, 0)
+
+    def interval(self, top: int) -> np.ndarray:
+        """``random_interval(top)`` per trial: masked rejection sampling
+        under the smallest all-ones mask that covers ``top``."""
+        mask = np.uint64((1 << top.bit_length()) - 1)
+        value = np.zeros(len(self.rows), dtype=np.int64)
+        pending = ~self.leftover
+        while pending.any():
+            candidate = (self._next(pending) & mask).astype(np.int64)
+            pending &= ~self.leftover
+            accepted = pending & (candidate <= top)
+            value[accepted] = candidate[accepted]
+            pending &= ~accepted
+        return value
+
+
+def _swap(table: np.ndarray, picked: np.ndarray, i: int) -> None:
+    """Per column r, swap ``table[picked[r], r]`` with ``table[i, r]``."""
+    rows = np.arange(table.shape[1])
+    held = table[picked, rows]
+    table[picked, rows] = table[i]
+    table[i] = held
+
+
+def _string_column(
+    block: TrialBlock, domain: StringDomain, length_hint: int | None, specials: str
+) -> Column | None:
+    """A suppressed string per trial (``specials`` empty), or one regenerated
+    by ``_regenerate_special_chars``."""
+    alphabet = domain.alphabet
+    if "\0" in alphabet + specials:  # NUL pads the code-point matrix
+        return None
+    n, k = len(block), len(specials)
+    lo, hi = (
+        (length_hint, length_hint)
+        if length_hint is not None
+        else (domain.length_min, domain.length_max)
+    )
+    if hi - lo > _MASK32:
+        return None
+    drawn_length = int(lo != hi)
+    picking = len(alphabet) > 1
+    # the length, one draw per character, then Floyd's k, the shuffle's and
+    # the permutation's k - 1 each, with room for the permutation's rejections
+    wanted = drawn_length + picking * max(hi, k) + 4 * k
+    halves = block.halves(max(1, min(wanted, 2 * TAPE_WORDS)))
+    leftover = np.zeros(n, dtype=bool)
+    if drawn_length:
+        length, leftover = bounded(halves[0], hi - lo)
+        length += lo
+    else:
+        length = np.full(n, lo, dtype=np.int64)
+    raised = length < k
+    length = np.maximum(length, k)
+    width = min(int(length.max()), len(halves) - drawn_length)
+    leftover |= length > width
+    in_string = np.arange(width)[:, None] < length
+    alphabet_codes = np.array([ord(c) for c in alphabet], dtype=np.uint32)
+    codes = np.full((width, n), alphabet_codes[0], dtype=np.uint32)
+    for first in range(0, width if picking else 0, _SLAB):  # bounds the temporaries
+        at = slice(first, min(first + _SLAB, width))
+        picks, rejected = bounded(
+            halves[drawn_length + at.start : drawn_length + at.stop], len(alphabet) - 1
+        )
+        leftover |= (rejected & in_string[at]).any(axis=0)
+        codes[at] = alphabet_codes[picks]
+    if k:
+        reader = _Reader(halves, drawn_length + picking * length, leftover)
+        # choice(length, k, replace=False): Floyd's algorithm, then a shuffle
+        chosen = np.empty((k, n), dtype=np.int64)
+        for step in range(k):
+            top = length - k + step
+            value = reader.bounded(top)
+            seen = (chosen[:step] == value).any(axis=0)
+            chosen[step] = np.where(seen, top, value)
+        for i in range(k - 1, 0, -1):
+            _swap(chosen, reader.bounded(np.full(n, i)), i)
+        # permutation(k)
+        order = np.repeat(np.arange(k)[:, None], n, axis=1)
+        for i in range(k - 1, 0, -1):
+            _swap(order, reader.interval(i), i)
+        special_codes = np.array([ord(c) for c in specials], dtype=np.uint32)
+        codes[np.where(leftover, 0, chosen), np.arange(n)] = special_codes[order]
+    codes[~in_string] = 0
+    if width:
+        rows = np.ascontiguousarray(codes.T).view(np.dtype(("U", width)))
+        texts = rows.ravel().tolist()
+    else:
+        texts = [""] * n
+    raises = Counter({k: int((raised & ~leftover).sum())})
+    return list(map(Text, texts)), leftover, raises
+
+
+def _regenerate_column(record: AnonymizedRecord, block: TrialBlock) -> Column | None:
+    """``regenerate`` per trial; None for tuples."""
+    if isinstance(record, Concrete):
+        return [record.value] * len(block), np.zeros(len(block), bool), Counter()
+    if isinstance(record, IntervalGroup):
+        return _numeric_column(
+            block, record.domain, record.lo, record.hi, record.hi_inclusive
+        )
+    if isinstance(record, CategoryGroup):
+        return _categorical_column(
+            block, record.domain.group_members(record.group_label)
+        )
+    if isinstance(record, SpecialChars):
+        return _string_column(block, record.domain, record.length_hint, record.specials)
+    if isinstance(record, Suppressed):
+        domain = record.domain
+        if isinstance(domain, NumericDomain):
+            return _numeric_column(
+                block, domain, domain.min, domain.max, domain.max_inclusive
+            )
+        if isinstance(domain, CategoricalDomain):
+            return _categorical_column(block, domain.categories)
+        if isinstance(domain, StringDomain):
+            return _string_column(block, domain, record.length_hint, "")
+    return None
+
+
+def _noise_column(
+    value: DataValue, domain: DomainSpec, cfg: NoiseAdditionConfig, block: TrialBlock
+) -> Column | None:
+    """The value of ``noise_addition_anonymize``'s record per trial."""
+    if not isinstance(domain, NumericDomain) or not isinstance(value, Continuous):
+        return None
+    lo, hi = noise_interval(value.value, domain, cfg.noise)
+    if domain.integer:
+        lo_i, hi_i = integer_bounds(domain.min, domain.max, domain.max_inclusive)
+        if not -_EXACT < lo_i <= hi_i < _EXACT:
+            return None
+        drawn = np.floor(uniform(block.words(1)[0], lo, hi) + 0.5)
+        values = _continuous(np.clip(drawn, lo_i, hi_i), 0)
+        return values, np.zeros(len(block), bool), Counter()
+    hi_inclusive = domain.max_inclusive if hi >= domain.max else True
+    precision = domain.effective_precision
+    real = _real_column(block, lo, hi, hi_inclusive, precision)
+    if real is None:
+        return None
+    return _continuous(real[0], precision), real[1], Counter()
+
+
+def regenerate_block(
+    original: DataValue,
+    domain: DomainSpec,
+    cfg: TechniqueConfig,
+    record: AnonymizedRecord | None,
+    block: TrialBlock,
+    length_raises: Counter,
+) -> list[DataValue]:
+    """The field's regenerated value in each trial of ``block``.
+
+    Each value is what ``regenerate(record, g, length_raises)`` gives on the
+    trial's stream g, with ``record`` None meaning ``anonymize(original,
+    domain, cfg, g)`` (noise addition, which draws while anonymizing).
+
+    When the block has derived states, the values come from its tape as one
+    column, except for the trials the column leaves over, which take the
+    scalar path.  The first trial always runs the scalar path first, so it
+    raises what the per-trial loop would raise; the first trial the column
+    covers is compared with the scalar path on the same state, and on any
+    difference (a numpy whose algorithms have changed) the whole block takes
+    the scalar path.  The result never depends on the column alone.
+    """
+
+    def scalar(row: int, raises: Counter = length_raises) -> DataValue:
+        stream = block.stream(row)
+        drawn = record if record is not None else anonymize(original, domain, cfg, stream)
+        return regenerate(drawn, stream, raises)
+
+    n = len(block)
+    if block.states is None:
+        return [scalar(row) for row in range(n)]
+    first_raises: Counter = Counter()
+    first = scalar(0, first_raises)
+    column = (
+        _noise_column(original, domain, cfg, block)  # type: ignore[arg-type]
+        if record is None
+        else _regenerate_column(record, block)
+    )
+    if column is not None:
+        values, leftover, raises = column
+        covered = np.flatnonzero(~leftover)
+        if covered.size:
+            check = int(covered[0])
+            reference = first if check == 0 else scalar(check, Counter())
+            if repr(reference) == repr(values[check]):
+                length_raises += raises
+                if leftover[0]:
+                    values[0] = first
+                    length_raises += first_raises
+                for row in np.flatnonzero(leftover[1:]).tolist():
+                    values[row + 1] = scalar(row + 1)
+                return values
+    length_raises += first_raises
+    return [first, *(scalar(row) for row in range(1, n))]
 
 
 # ---------------------------------------------------------------------------
