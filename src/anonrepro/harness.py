@@ -33,6 +33,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import repeat
 from typing import Mapping, Sequence
 
@@ -88,11 +89,17 @@ def attempts_for_confidence(
         return None
     if probability == 1.0:
         return 1
-    n = math.ceil(math.log(1.0 - confidence) / math.log(1.0 - probability))
-    # ceil can overshoot by one when the ratio lands on an integer and
-    # floating point pushes it just above; step back while n-1 still works.
-    while n > 1 and (1.0 - probability) ** (n - 1) <= 1.0 - confidence:
-        n -= 1
+    # log1p keeps a small p's digits, which 1 - p would round away; the
+    # ratio is taken exactly, as a float one overflows for a subnormal p
+    step, target = math.log1p(-probability), math.log1p(-confidence)
+    n = math.ceil(Fraction(target) / Fraction(step))
+    # the logs are rounded, so n can be one off either way; past 2**53 a
+    # float product no longer tells n from n - 1
+    if n < 2**53:
+        while n > 1 and (n - 1) * step <= target:
+            n -= 1
+        while n * step > target:
+            n += 1
     return n
 
 
@@ -277,6 +284,14 @@ def _drop_pool() -> None:
         pool.shutdown(wait=True)
 
 
+def _check_baseline(oracle: BugOracle, original: Mapping[str, DataValue]) -> None:
+    """The original assignment holds every field, conforming, and triggers."""
+    if not evaluate(oracle, original):
+        raise InvalidBaselineError(
+            f"original assignment does not trigger oracle {oracle.name!r}"
+        )
+
+
 def run_trials(
     oracle: BugOracle,
     original: Mapping[str, DataValue],
@@ -303,10 +318,7 @@ def run_trials(
         raise ConfigError(f"trials must be positive, got {trials}")
     if workers < 1:
         raise ConfigError(f"workers must be positive, got {workers}")
-    if not evaluate(oracle, original):
-        raise InvalidBaselineError(
-            f"original assignment does not trigger oracle {oracle.name!r}"
-        )
+    _check_baseline(oracle, original)
     per_field = resolve_configs(oracle, config)
     originals = tuple(original[name] for name in oracle.field_names)
     size = min(workers, _usable_cpus())
@@ -475,9 +487,11 @@ def verify_against_bruteforce(
     The exact trigger probability comes from enumerating every joint
     outcome of the per-field anonymize/regenerate distributions; the run
     passes when its success count falls inside the central 99% binomial
-    acceptance region around that probability.  Raises
+    acceptance region around that probability.  The original assignment is
+    checked as ``run_trials`` checks it, before enumerating.  Raises
     EnumerationInfeasibleError when any field cannot be enumerated.
     """
+    _check_baseline(oracle, original)
     per_field = resolve_configs(oracle, config)
     distributions = {
         name: technique_distribution(cfg, original[name], domain)

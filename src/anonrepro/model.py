@@ -178,6 +178,14 @@ class NumericDomain:
                 raise DomainError("integer domains have precision 0")
         if self.precision is not None and self.precision < 0:
             raise DomainError("precision must be >= 0")
+        # regeneration draws int64 indexes of the 10**-precision grid
+        precision = self.effective_precision
+        scale = 10 ** min(precision, 19)  # 10**19 is past int64 already
+        if not (scale < 2**63 and -(2**63) <= self.min * scale and self.max * scale < 2**63):
+            raise DomainError(
+                f"numeric domain [{self.min}, {self.max}] at precision {precision} "
+                "has grid indexes beyond int64"
+            )
 
     @property
     def effective_precision(self) -> int:

@@ -28,7 +28,6 @@ from .errors import (
     EnumerationInfeasibleError,
     EvaluationError,
     OracleError,
-    UnsupportedTechniqueError,
 )
 from .model import (
     Categorical,
@@ -51,17 +50,18 @@ from .model import (
     fields_to_json,
 )
 from .techniques import (
-    CategoryGroup,
-    GlobalRecodingConfig,
-    IntervalGroup,
-    LengthPolicy,
-    LocalSuppressionConfig,
+    Chars,
+    Constant,
+    Grid,
     NoiseAdditionConfig,
-    RoundingConfig,
+    Pick,
     SCDLocalSuppressionConfig,
+    Span,
     TechniqueConfig,
-    anonymize,
+    anonymize_conforming,
+    draw_plan,
     integer_bounds,
+    noise_plan,
 )
 
 #: Hard cap on how many joint outcomes exact enumeration may visit.
@@ -388,25 +388,19 @@ def _uniform(values: Iterable[DataValue]) -> FiniteDistribution:
     return FiniteDistribution(tuple((v, p) for v in vals))
 
 
-def _integer_range_values(lo: int, hi: int) -> list[DataValue]:
-    return [Continuous(float(i), 0) for i in range(lo, hi + 1)]
-
-
-def _string_support(
-    domain: StringDomain, lengths: list[int]
-) -> FiniteDistribution:
-    alphabet = domain.alphabet
+def _string_support(plan: Chars) -> FiniteDistribution:
+    alphabet, lo, hi = plan.alphabet, plan.lo, plan.hi
     if len(alphabet) > STRING_ENUM_MAX_ALPHABET:
         raise EnumerationInfeasibleError(
             f"alphabet of {len(alphabet)} characters is too large to enumerate"
         )
-    if max(lengths) > STRING_ENUM_MAX_LENGTH:
+    if hi > STRING_ENUM_MAX_LENGTH:
         raise EnumerationInfeasibleError(
-            f"strings of length {max(lengths)} are too long to enumerate"
+            f"strings of length {hi} are too long to enumerate"
         )
     outcomes: list[tuple[DataValue, Fraction]] = []
-    for length in lengths:
-        string_weight = Fraction(1, len(lengths) * len(alphabet) ** length)
+    for length in range(lo, hi + 1):
+        string_weight = Fraction(1, (hi - lo + 1) * len(alphabet) ** length)
         for chars in itertools.product(alphabet, repeat=length):
             outcomes.append((Text("".join(chars)), string_weight))
     return FiniteDistribution(tuple(outcomes))
@@ -435,7 +429,8 @@ def _noise_int_distribution(
 def technique_distribution(
     cfg: TechniqueConfig, value: DataValue, domain: DomainSpec
 ) -> FiniteDistribution:
-    """Exact distribution of anonymize-then-regenerate for one field.
+    """Exact distribution of anonymize-then-regenerate for one field, read
+    from the record's draw plan (``techniques.draw_plan``).
 
     Raises EnumerationInfeasibleError when the output space is continuous or
     too large (real-valued domains, long strings, special-character
@@ -443,46 +438,25 @@ def technique_distribution(
     """
     if isinstance(domain, TupleDomain):
         raise EnumerationInfeasibleError("tuple fields are not enumerated")
-    if isinstance(cfg, RoundingConfig):
-        record = anonymize(value, domain, cfg)
-        return FiniteDistribution(((record.value, Fraction(1)),))  # type: ignore[union-attr]
-    if isinstance(domain, NumericDomain) and not domain.integer:
-        raise EnumerationInfeasibleError(
-            "real-valued domains have no finite enumeration"
-        )
-    if isinstance(cfg, LocalSuppressionConfig):
-        if isinstance(domain, NumericDomain):
-            lo, hi = integer_bounds(domain.min, domain.max, domain.max_inclusive)
-            return _uniform(_integer_range_values(lo, hi))
-        if isinstance(domain, CategoricalDomain):
-            return _uniform(Categorical(c) for c in domain.categories)
-        if isinstance(domain, StringDomain):
-            if cfg.length_policy is LengthPolicy.PRESERVE_ORIGINAL:
-                lengths = [len(value.value)]  # type: ignore[union-attr]
-            else:
-                lengths = list(range(domain.length_min, domain.length_max + 1))
-            return _string_support(domain, lengths)
-    if isinstance(cfg, GlobalRecodingConfig):
-        record = anonymize(value, domain, cfg)
-        if isinstance(record, IntervalGroup):
-            lo, hi = integer_bounds(record.lo, record.hi, record.hi_inclusive)
-            return _uniform(_integer_range_values(lo, hi))
-        if isinstance(record, CategoryGroup):
-            members = record.domain.group_members(record.group_label)
-            return _uniform(Categorical(m) for m in members)
-    if isinstance(cfg, NoiseAdditionConfig):
-        if isinstance(domain, NumericDomain):
-            return _noise_int_distribution(value.value, domain, cfg.noise)  # type: ignore[union-attr]
-        raise UnsupportedTechniqueError(
-            "noise addition applies to numeric values only"
-        )
     if isinstance(cfg, SCDLocalSuppressionConfig):
         raise EnumerationInfeasibleError(
             "special-character placement is not enumerated"
         )
-    raise EnumerationInfeasibleError(
-        f"no enumeration for {type(cfg).__name__} over {type(domain).__name__}"
-    )
+    if isinstance(cfg, NoiseAdditionConfig):
+        plan = noise_plan(value, domain, cfg.noise)
+        if isinstance(plan, Span) and plan.clamp:  # integer noise, in exact arithmetic
+            return _noise_int_distribution(value.value, domain, cfg.noise)  # type: ignore
+    else:
+        plan = draw_plan(anonymize_conforming(value, domain, cfg))
+    if isinstance(plan, Constant):
+        return FiniteDistribution(((plan.value, Fraction(1)),))
+    if isinstance(plan, Pick):
+        return _uniform(map(Categorical, plan.labels))
+    if isinstance(plan, Chars):
+        return _string_support(plan)
+    if isinstance(plan, Grid) and domain.integer:  # type: ignore[union-attr]
+        return _uniform(Continuous(float(i), 0) for i in range(plan.lo, plan.hi + 1))
+    raise EnumerationInfeasibleError("real-valued domains have no finite enumeration")
 
 
 def _fields_of(expr: OracleExpr) -> frozenset[str]:

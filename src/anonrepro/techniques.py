@@ -25,6 +25,7 @@ clamping into the domain.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import string
@@ -32,7 +33,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 import numpy as np
 
@@ -258,7 +259,59 @@ def record_domain(record: AnonymizedRecord) -> DomainSpec:
 
 
 # ---------------------------------------------------------------------------
-# shared numeric helpers
+# draw plans: what a record regenerates from
+#
+# ``draw_plan`` and ``noise_plan`` state once which parameters a value is
+# drawn from; ``draw`` (one value), ``_column`` (a block of trials) and
+# ``oracles.technique_distribution`` (exact enumeration) read them.
+
+
+class Constant(NamedTuple):
+    """The value itself, with no draw."""
+
+    value: DataValue
+
+
+class Grid(NamedTuple):
+    """``rng.integers(lo, hi + 1) / scale``, read at ``precision`` fraction
+    digits, with ``scale == 10**precision``; integer domains are scale 1,
+    precision 0."""
+
+    lo: int
+    hi: int
+    scale: int
+    precision: int
+
+
+class Span(NamedTuple):
+    """``rng.uniform(lo, hi)``: read at ``precision`` fraction digits when no
+    grid point lies inside the interval, or, with ``clamp`` (integer noise),
+    rounded half-up and clamped into ``clamp``'s inclusive bounds."""
+
+    lo: float
+    hi: float
+    precision: int
+    clamp: tuple[int, int] | None
+
+
+class Pick(NamedTuple):
+    """``labels[rng.integers(len(labels))]``."""
+
+    labels: tuple[str, ...]
+
+
+class Chars(NamedTuple):
+    """A string over ``alphabet`` of ``rng.integers(lo, hi + 1)`` characters
+    (no draw when lo == hi) holding ``specials`` at random positions; plain
+    suppression has no specials."""
+
+    alphabet: str
+    lo: int
+    hi: int
+    specials: str
+
+
+Plan = Union[Constant, Grid, Span, Pick, Chars]
 
 
 def _grid_ceil(x: float, scale: int) -> int:
@@ -281,29 +334,6 @@ def _grid_floor(x: float, scale: int) -> int:
     return idx
 
 
-def _grid_bounds(lo: float, hi: float, hi_inclusive: bool, scale: int) -> tuple[int, int]:
-    """Inclusive bounds, in grid steps of 1/scale, of the grid points inside
-    [lo, hi] (or [lo, hi)); lo_idx > hi_idx when there are none."""
-    lo_idx = _grid_ceil(lo, scale)
-    hi_idx = _grid_floor(hi, scale)
-    if not hi_inclusive and hi_idx / scale == hi:
-        hi_idx -= 1
-    return lo_idx, hi_idx
-
-
-def _sample_real(
-    lo: float, hi: float, hi_inclusive: bool, precision: int, rng: np.random.Generator
-) -> float:
-    """Uniform draw from [lo, hi] (or [lo, hi)) on the decimal grid with
-    ``precision`` fraction digits.  Falls back to a raw uniform draw when the
-    interval is narrower than one grid step."""
-    scale = 10**precision
-    lo_idx, hi_idx = _grid_bounds(lo, hi, hi_inclusive, scale)
-    if lo_idx > hi_idx:
-        return float(rng.uniform(lo, hi))
-    return int(rng.integers(lo_idx, hi_idx + 1)) / scale
-
-
 def integer_bounds(lo: float, hi: float, hi_inclusive: bool) -> tuple[int, int]:
     """Inclusive integer bounds of the interval; raises when it holds none."""
     lo_i = math.ceil(lo)
@@ -317,18 +347,91 @@ def integer_bounds(lo: float, hi: float, hi_inclusive: bool) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _sample_numeric(
-    domain: NumericDomain,
-    lo: float,
-    hi: float,
-    hi_inclusive: bool,
-    rng: np.random.Generator,
-) -> Continuous:
+def _grid_plan(domain: NumericDomain, lo: float, hi: float, hi_inclusive: bool) -> Plan:
+    """A uniform draw from [lo, hi] (or [lo, hi)) on the decimal grid of the
+    domain's precision, or a raw uniform draw when the interval is narrower
+    than one grid step of a real domain."""
     if domain.integer:
-        lo_i, hi_i = integer_bounds(lo, hi, hi_inclusive)
-        return Continuous(float(rng.integers(lo_i, hi_i + 1)), 0)
-    p = domain.effective_precision
-    return Continuous(_sample_real(lo, hi, hi_inclusive, p, rng), p)
+        return Grid(*integer_bounds(lo, hi, hi_inclusive), 1, 0)
+    precision = domain.effective_precision
+    scale = 10**precision
+    lo_idx = _grid_ceil(lo, scale)
+    hi_idx = _grid_floor(hi, scale)
+    if not hi_inclusive and hi_idx / scale == hi:
+        hi_idx -= 1
+    if lo_idx > hi_idx:
+        return Span(lo, hi, precision, None)
+    return Grid(lo_idx, hi_idx, scale, precision)
+
+
+def _chars_plan(domain: StringDomain, length_hint: int | None, specials: str) -> Chars:
+    if length_hint is None:
+        return Chars(domain.alphabet, domain.length_min, domain.length_max, specials)
+    return Chars(domain.alphabet, length_hint, length_hint, specials)
+
+
+def draw_plan(record: AnonymizedRecord) -> Plan:
+    """What ``regenerate`` draws ``record``'s value from.  Tuple-valued
+    records have no plan: their components draw from split streams."""
+    if isinstance(record, Concrete):
+        return Constant(record.value)
+    if isinstance(record, IntervalGroup):
+        return _grid_plan(record.domain, record.lo, record.hi, record.hi_inclusive)
+    if isinstance(record, CategoryGroup):
+        return Pick(record.domain.group_members(record.group_label))
+    if isinstance(record, SpecialChars):
+        return _chars_plan(record.domain, record.length_hint, record.specials)
+    if isinstance(record, Suppressed):
+        domain = record.domain
+        if isinstance(domain, NumericDomain):
+            return _grid_plan(domain, domain.min, domain.max, domain.max_inclusive)
+        if isinstance(domain, CategoricalDomain):
+            return Pick(domain.categories)
+        if isinstance(domain, StringDomain):
+            return _chars_plan(domain, record.length_hint, "")
+    raise ConfigError(f"unknown anonymized record {record!r}")
+
+
+def _draw_chars(plan: Chars, rng: np.random.Generator, length_raises: Counter | None) -> Text:
+    length = plan.lo if plan.lo == plan.hi else int(rng.integers(plan.lo, plan.hi + 1))
+    alphabet, specials = plan.alphabet, plan.specials
+    needed = len(specials)
+    if length < needed:
+        if length_raises is None:
+            log.warning(
+                "raising regenerated length %d to %d to fit special characters",
+                length,
+                needed,
+            )
+        else:
+            length_raises[needed] += 1
+        length = needed
+    picks = rng.integers(0, len(alphabet), size=length) if length else ()
+    chars = [alphabet[int(i)] for i in picks]
+    if needed:
+        positions = rng.choice(length, size=needed, replace=False)
+        for pos, which in zip(positions, rng.permutation(needed)):
+            chars[int(pos)] = specials[int(which)]
+    return Text("".join(chars))
+
+
+def draw(
+    plan: Plan, rng: np.random.Generator, length_raises: Counter | None = None
+) -> DataValue:
+    """One value drawn from ``plan``; see ``regenerate`` for ``length_raises``."""
+    if isinstance(plan, Grid):
+        return Continuous(int(rng.integers(plan.lo, plan.hi + 1)) / plan.scale, plan.precision)
+    if isinstance(plan, Span):
+        drawn = float(rng.uniform(plan.lo, plan.hi))
+        if plan.clamp is None:
+            return Continuous(drawn, plan.precision)
+        lo, hi = plan.clamp
+        return Continuous(float(min(max(math.floor(drawn + 0.5), lo), hi)), 0)
+    if isinstance(plan, Pick):
+        return Categorical(plan.labels[int(rng.integers(len(plan.labels)))])
+    if isinstance(plan, Chars):
+        return _draw_chars(plan, rng, length_raises)
+    return plan.value
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +548,21 @@ def noise_interval(
     )
 
 
+@functools.lru_cache(maxsize=1024)
+def noise_plan(value: DataValue, domain: DomainSpec, noise: float) -> Plan:
+    """What noise addition draws ``value``'s replacement from: the grid
+    points of its noise interval (or a raw draw when there are none), and
+    for integer domains a raw draw rounded half-up and clamped into the
+    domain.  Cached, because a run adds noise to the same value each trial."""
+    if not isinstance(domain, NumericDomain):
+        raise UnsupportedTechniqueError("noise addition applies to numeric values only")
+    lo, hi = noise_interval(value.value, domain, noise)  # type: ignore[union-attr]
+    if domain.integer:
+        return Span(lo, hi, 0, integer_bounds(domain.min, domain.max, domain.max_inclusive))
+    hi_inclusive = domain.max_inclusive if hi >= domain.max else True
+    return _grid_plan(domain, lo, hi, hi_inclusive)
+
+
 def noise_addition_anonymize(
     value: DataValue,
     domain: DomainSpec,
@@ -455,19 +573,7 @@ def noise_addition_anonymize(
 
     Integer domains draw a real, round half-up and clamp into the domain.
     """
-    if not isinstance(domain, NumericDomain):
-        raise UnsupportedTechniqueError("noise addition applies to numeric values only")
-    assert isinstance(value, Continuous)
-    lo, hi = noise_interval(value.value, domain, cfg.noise)
-    if domain.integer:
-        drawn = math.floor(float(rng.uniform(lo, hi)) + 0.5)
-        lo_i, hi_i = integer_bounds(domain.min, domain.max, domain.max_inclusive)
-        out = Continuous(float(min(max(drawn, lo_i), hi_i)), 0)
-    else:
-        hi_inclusive = domain.max_inclusive if hi >= domain.max else True
-        p = domain.effective_precision
-        out = Continuous(_sample_real(lo, hi, hi_inclusive, p, rng), p)
-    return Concrete(domain, out)
+    return Concrete(domain, draw(noise_plan(value, domain, cfg.noise), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +603,26 @@ def anonymize(
     leave it untouched (``Generator.spawn`` advances the generator, and
     callers regenerate from the same stream).
     """
-    draws = draws_to_anonymize(cfg)
-    if draws and rng is None:
+    if rng is None and draws_to_anonymize(cfg):
         raise ConfigError("noise addition needs a random stream")
     if not conforms(value, domain):
         raise NonConformingValueError(f"value {value!r} does not conform to {domain!r}")
+    return anonymize_conforming(value, domain, cfg, rng)
+
+
+def anonymize_conforming(
+    value: DataValue,
+    domain: DomainSpec,
+    cfg: TechniqueConfig,
+    rng: np.random.Generator | None = None,
+) -> AnonymizedRecord:
+    """``anonymize`` without checking that ``value`` conforms to ``domain``."""
     if isinstance(domain, TupleDomain):
         count = len(domain.components)
+        draws = draws_to_anonymize(cfg)
         streams = split(rng, count) if draws else [rng] * count  # type: ignore[arg-type]
         parts = zip(value.components, domain.components, streams)  # type: ignore[union-attr]
-        return TupleRecord(tuple(anonymize(v, d, cfg, r) for v, d, r in parts))
+        return TupleRecord(tuple(anonymize_conforming(v, d, cfg, r) for v, d, r in parts))
     if isinstance(cfg, NoiseAdditionConfig):
         return noise_addition_anonymize(value, domain, cfg, rng)  # type: ignore[arg-type]
     if isinstance(cfg, GlobalRecodingConfig):
@@ -520,66 +636,6 @@ def anonymize(
     raise ConfigError(f"unknown technique configuration {cfg!r}")
 
 
-def _random_value(
-    domain: DomainSpec, rng: np.random.Generator, length_hint: int | None = None
-) -> DataValue:
-    if isinstance(domain, NumericDomain):
-        return _sample_numeric(
-            domain, domain.min, domain.max, domain.max_inclusive, rng
-        )
-    if isinstance(domain, CategoricalDomain):
-        return Categorical(domain.categories[int(rng.integers(len(domain.categories)))])
-    if isinstance(domain, StringDomain):
-        length = (
-            length_hint
-            if length_hint is not None
-            else int(rng.integers(domain.length_min, domain.length_max + 1))
-        )
-        return Text(_random_string(domain, length, rng))
-    if isinstance(domain, TupleDomain):
-        streams = split(rng, len(domain.components))
-        return TupleValue(
-            tuple(_random_value(d, r) for d, r in zip(domain.components, streams))
-        )
-    raise ConfigError(f"unknown domain {domain!r}")
-
-
-def _random_string(domain: StringDomain, length: int, rng: np.random.Generator) -> str:
-    alphabet = domain.alphabet
-    if length == 0:
-        return ""
-    picks = rng.integers(0, len(alphabet), size=length)
-    return "".join(alphabet[int(i)] for i in picks)
-
-
-def _regenerate_special_chars(
-    rec: SpecialChars, rng: np.random.Generator, length_raises: Counter | None
-) -> Text:
-    domain = rec.domain
-    length = (
-        rec.length_hint
-        if rec.length_hint is not None
-        else int(rng.integers(domain.length_min, domain.length_max + 1))
-    )
-    needed = len(rec.specials)
-    if length < needed:
-        if length_raises is None:
-            log.warning(
-                "raising regenerated length %d to %d to fit special characters",
-                length,
-                needed,
-            )
-        else:
-            length_raises[needed] += 1
-        length = needed
-    chars = list(_random_string(domain, length, rng))
-    positions = rng.choice(length, size=needed, replace=False)
-    order = rng.permutation(needed)
-    for pos, which in zip(positions, order):
-        chars[int(pos)] = rec.specials[int(which)]
-    return Text("".join(chars))
-
-
 def regenerate(
     record: AnonymizedRecord,
     rng: np.random.Generator,
@@ -591,8 +647,8 @@ def regenerate(
     is regenerated at the specials' count.  That is logged as a warning, or,
     when ``length_raises`` is given, counted there under the specials' count.
     """
-    if isinstance(record, Concrete):
-        return record.value
+    if isinstance(record, Suppressed) and isinstance(record.domain, TupleDomain):
+        record = TupleRecord(tuple(map(Suppressed, record.domain.components)))
     if isinstance(record, TupleRecord):
         streams = split(rng, len(record.components))
         return TupleValue(
@@ -601,28 +657,17 @@ def regenerate(
                 for r, g in zip(record.components, streams)
             )
         )
-    if isinstance(record, IntervalGroup):
-        return _sample_numeric(
-            record.domain, record.lo, record.hi, record.hi_inclusive, rng
-        )
-    if isinstance(record, CategoryGroup):
-        members = record.domain.group_members(record.group_label)
-        return Categorical(members[int(rng.integers(len(members)))])
-    if isinstance(record, SpecialChars):
-        return _regenerate_special_chars(record, rng, length_raises)
-    if isinstance(record, Suppressed):
-        return _random_value(record.domain, rng, record.length_hint)
-    raise ConfigError(f"unknown anonymized record {record!r}")
+    return draw(draw_plan(record), rng, length_raises)
 
 
 # ---------------------------------------------------------------------------
 # columns: one field regenerated for a whole block of trials
 #
-# Each column function mirrors one scalar sampler above and reproduces the
-# numpy algorithm behind each of its draws on the block's tape (see rng).
+# A column draws a plan for every trial of a block, reproducing the numpy
+# algorithm behind each of ``draw``'s calls on the block's tape (see rng).
 # It returns the values, the trials it leaves to the scalar path (a rejected
 # draw, a draw past the tape), and the length raises among the others; or
-# None when the record's parameters have no column form.
+# None when the plan's parameters have no column form.
 
 Column = tuple[list[DataValue], np.ndarray, Counter]
 
@@ -644,20 +689,6 @@ def _integer_column(
     return value + lo, rejected
 
 
-def _real_column(
-    block: TrialBlock, lo: float, hi: float, hi_inclusive: bool, precision: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_sample_real`` per trial, as float64."""
-    scale = 10**precision
-    lo_idx, hi_idx = _grid_bounds(lo, hi, hi_inclusive, scale)
-    if lo_idx > hi_idx:
-        return uniform(block.words(1)[0], lo, hi), np.zeros(len(block), bool)
-    drawn = _integer_column(block, lo_idx, hi_idx)
-    if drawn is None or scale > _EXACT:  # the grid step is no longer exact
-        return None
-    return drawn[0] / scale, drawn[1]
-
-
 def _continuous(values: np.ndarray, precision: int) -> list[DataValue]:
     """``Continuous(v, precision)`` per value, one object per distinct value."""
     distinct, which = np.unique(values, return_inverse=True)
@@ -665,28 +696,32 @@ def _continuous(values: np.ndarray, precision: int) -> list[DataValue]:
     return [objects[i] for i in which.tolist()]
 
 
-def _numeric_column(
-    block: TrialBlock, domain: NumericDomain, lo: float, hi: float, hi_inclusive: bool
-) -> Column | None:
-    """``_sample_numeric`` per trial."""
-    if domain.integer:
-        drawn = _integer_column(block, *integer_bounds(lo, hi, hi_inclusive))
-        precision = 0
+def _column(plan: Plan, block: TrialBlock) -> Column | None:
+    """``draw(plan, ...)`` per trial of ``block``."""
+    n = len(block)
+    if isinstance(plan, Constant):
+        return [plan.value] * n, np.zeros(n, bool), Counter()
+    if isinstance(plan, Chars):
+        return _string_column(block, plan)
+    if isinstance(plan, Pick):
+        drawn = _integer_column(block, 0, len(plan.labels) - 1)
+        if drawn is None:
+            return None
+        objects = [Categorical(label) for label in plan.labels]
+        return [objects[i] for i in drawn[0].tolist()], drawn[1], Counter()
+    if isinstance(plan, Grid):
+        drawn = _integer_column(block, plan.lo, plan.hi)
+        if drawn is None or plan.scale > _EXACT:  # the grid step is no longer exact
+            return None
+        values, rejected = drawn[0] / plan.scale, drawn[1]
     else:
-        precision = domain.effective_precision
-        drawn = _real_column(block, lo, hi, hi_inclusive, precision)
-    if drawn is None:
-        return None
-    return _continuous(drawn[0].astype(np.float64), precision), drawn[1], Counter()
-
-
-def _categorical_column(block: TrialBlock, labels: tuple[str, ...]) -> Column | None:
-    """``Categorical(labels[rng.integers(len(labels))])`` per trial."""
-    drawn = _integer_column(block, 0, len(labels) - 1)
-    if drawn is None:
-        return None
-    objects = [Categorical(label) for label in labels]
-    return [objects[i] for i in drawn[0].tolist()], drawn[1], Counter()
+        values, rejected = uniform(block.words(1)[0], plan.lo, plan.hi), np.zeros(n, bool)
+        if plan.clamp is not None:
+            lo, hi = plan.clamp
+            if not -_EXACT < lo <= hi < _EXACT:
+                return None
+            values = np.clip(np.floor(values + 0.5), lo, hi)
+    return _continuous(values, plan.precision), rejected, Counter()
 
 
 class _Reader:
@@ -738,20 +773,12 @@ def _swap(table: np.ndarray, picked: np.ndarray, i: int) -> None:
     table[i] = held
 
 
-def _string_column(
-    block: TrialBlock, domain: StringDomain, length_hint: int | None, specials: str
-) -> Column | None:
-    """A suppressed string per trial (``specials`` empty), or one regenerated
-    by ``_regenerate_special_chars``."""
-    alphabet = domain.alphabet
+def _string_column(block: TrialBlock, plan: Chars) -> Column | None:
+    """``_draw_chars`` per trial."""
+    alphabet, lo, hi, specials = plan
     if "\0" in alphabet + specials:  # NUL pads the code-point matrix
         return None
     n, k = len(block), len(specials)
-    lo, hi = (
-        (length_hint, length_hint)
-        if length_hint is not None
-        else (domain.length_min, domain.length_max)
-    )
     if hi - lo > _MASK32:
         return None
     drawn_length = int(lo != hi)
@@ -807,55 +834,6 @@ def _string_column(
     return list(map(Text, texts)), leftover, raises
 
 
-def _regenerate_column(record: AnonymizedRecord, block: TrialBlock) -> Column | None:
-    """``regenerate`` per trial; None for tuples."""
-    if isinstance(record, Concrete):
-        return [record.value] * len(block), np.zeros(len(block), bool), Counter()
-    if isinstance(record, IntervalGroup):
-        return _numeric_column(
-            block, record.domain, record.lo, record.hi, record.hi_inclusive
-        )
-    if isinstance(record, CategoryGroup):
-        return _categorical_column(
-            block, record.domain.group_members(record.group_label)
-        )
-    if isinstance(record, SpecialChars):
-        return _string_column(block, record.domain, record.length_hint, record.specials)
-    if isinstance(record, Suppressed):
-        domain = record.domain
-        if isinstance(domain, NumericDomain):
-            return _numeric_column(
-                block, domain, domain.min, domain.max, domain.max_inclusive
-            )
-        if isinstance(domain, CategoricalDomain):
-            return _categorical_column(block, domain.categories)
-        if isinstance(domain, StringDomain):
-            return _string_column(block, domain, record.length_hint, "")
-    return None
-
-
-def _noise_column(
-    value: DataValue, domain: DomainSpec, cfg: NoiseAdditionConfig, block: TrialBlock
-) -> Column | None:
-    """The value of ``noise_addition_anonymize``'s record per trial."""
-    if not isinstance(domain, NumericDomain) or not isinstance(value, Continuous):
-        return None
-    lo, hi = noise_interval(value.value, domain, cfg.noise)
-    if domain.integer:
-        lo_i, hi_i = integer_bounds(domain.min, domain.max, domain.max_inclusive)
-        if not -_EXACT < lo_i <= hi_i < _EXACT:
-            return None
-        drawn = np.floor(uniform(block.words(1)[0], lo, hi) + 0.5)
-        values = _continuous(np.clip(drawn, lo_i, hi_i), 0)
-        return values, np.zeros(len(block), bool), Counter()
-    hi_inclusive = domain.max_inclusive if hi >= domain.max else True
-    precision = domain.effective_precision
-    real = _real_column(block, lo, hi, hi_inclusive, precision)
-    if real is None:
-        return None
-    return _continuous(real[0], precision), real[1], Counter()
-
-
 def regenerate_block(
     original: DataValue,
     domain: DomainSpec,
@@ -871,12 +849,14 @@ def regenerate_block(
     domain, cfg, g)`` (noise addition, which draws while anonymizing).
 
     When the block has derived states, the values come from its tape as one
-    column, except for the trials the column leaves over, which take the
-    scalar path.  The first trial always runs the scalar path first, so it
-    raises what the per-trial loop would raise; the first trial the column
-    covers is compared with the scalar path on the same state, and on any
-    difference (a numpy whose algorithms have changed) the whole block takes
-    the scalar path.  The result never depends on the column alone.
+    column of the record's draw plan (``noise_plan`` when ``record`` is
+    None), except for the trials the column leaves over, which take the
+    scalar path; tuple fields take it throughout.  The first trial always
+    runs the scalar path first, so it raises what the per-trial loop would
+    raise; the first trial the column covers is compared with the scalar
+    path on the same state, and on any difference (a numpy whose algorithms
+    have changed) the whole block takes the scalar path.  The result never
+    depends on the column alone.
     """
 
     def scalar(row: int, raises: Counter = length_raises) -> DataValue:
@@ -885,14 +865,15 @@ def regenerate_block(
         return regenerate(drawn, stream, raises)
 
     n = len(block)
-    if block.states is None:
+    field = domain if record is None else record_domain(record)
+    if block.states is None or isinstance(field, TupleDomain):
         return [scalar(row) for row in range(n)]
     first_raises: Counter = Counter()
     first = scalar(0, first_raises)
-    column = (
-        _noise_column(original, domain, cfg, block)  # type: ignore[arg-type]
-        if record is None
-        else _regenerate_column(record, block)
+    column = _column(
+        draw_plan(record) if record is not None
+        else noise_plan(original, domain, cfg.noise),  # type: ignore[union-attr]
+        block,
     )
     if column is not None:
         values, leftover, raises = column

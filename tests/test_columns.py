@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonrepro import corpus, rng, techniques
-from anonrepro.harness import run_trials
+from anonrepro.errors import EnumerationInfeasibleError
+from anonrepro.harness import resolve_configs, run_trials
 from anonrepro.model import (
     Categorical,
     CategoricalDomain,
@@ -21,6 +22,7 @@ from anonrepro.model import (
     StringDomain,
     Text,
 )
+from anonrepro.oracles import technique_distribution
 from anonrepro.rng import TAPE_WORDS, TrialBlock, substream
 from anonrepro.techniques import (
     CategoryGroup,
@@ -258,3 +260,29 @@ def test_length_raises_are_logged_once_per_run(caplog, workers):
         "raising regenerated length of field 'content' to fit 9 special characters "
         "in 57/1000 trials"
     ]
+
+
+def enumerable_fields():
+    """Every corpus field under every corpus config that exact enumeration
+    covers, with the reprs of its enumerated support."""
+    for entry in corpus.load_all():
+        for k, config in enumerate(entry.configs):
+            per_field = resolve_configs(entry.oracle, config)
+            for index, ((name, domain), cfg) in enumerate(zip(entry.oracle.fields, per_field)):
+                original = entry.original_assignment[name]
+                try:
+                    outcomes = technique_distribution(cfg, original, domain).outcomes
+                except EnumerationInfeasibleError:
+                    continue
+                yield pytest.param(original, domain, cfg, index, {repr(v) for v, _ in outcomes},
+                                   id=f"{entry.oracle.name}#{k}:{name}")
+
+
+@pytest.mark.parametrize("original, domain, cfg, index, support", enumerable_fields())
+def test_draws_lie_in_the_enumerated_support(original, domain, cfg, index, support):
+    # the scalar draw, the column and the enumeration read one draw plan
+    trials = range(500)
+    scalar, _ = scalar_values(original, domain, cfg, 7, trials, index)
+    record = None if draws_to_anonymize(cfg) else anonymize(original, domain, cfg)
+    column = regenerate_block(original, domain, cfg, record, TrialBlock(7, trials, index), Counter())
+    assert {repr(v) for v in scalar + column} <= support

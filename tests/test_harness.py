@@ -8,13 +8,14 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from multiprocessing.connection import wait
 from pathlib import Path
 
 import pytest
 
 from anonrepro import corpus, harness
-from anonrepro.errors import ConfigError, InvalidBaselineError
+from anonrepro.errors import ConfigError, EvaluationError, InvalidBaselineError
 from anonrepro.harness import (
     AggregateRow,
     TrialReport,
@@ -59,6 +60,32 @@ FROZEN_PAIRS = [
 @pytest.mark.parametrize("p,expected", FROZEN_PAIRS)
 def test_attempts_for_confidence_frozen_pairs(p, expected):
     assert attempts_for_confidence(p) == expected
+
+
+def test_attempts_keep_a_small_probability_exact():
+    # through 1 - p, which rounds away most of p's digits, 1e-10 would give
+    # 29,957,320,256 attempts and 1e-17 a division by log(1.0) == 0
+    assert attempts_for_confidence(1e-10) == 29_957_322_735
+    # exactly 299,573,227,355,398,988 (ceil of ln 20 / -ln(1 - 1e-17)); a
+    # float ratio resolves it to about one part in 1e16
+    assert math.isclose(
+        attempts_for_confidence(1e-17), 299_573_227_355_398_988, rel_tol=1e-15
+    )
+    # past float range: -ln(0.05) / p overflows a float for a subnormal p
+    for p in (1e-300, 5e-324):
+        attempts = attempts_for_confidence(p) * Fraction(p)
+        assert math.isclose(float(attempts), -math.log(0.05), rel_tol=1e-12)
+
+
+def test_attempts_match_definition_at_every_run_frequency():
+    # every frequency k/T that a run of T trials can report
+    for trials in (100, 1000):
+        for confidence in (0.9, 0.95, 0.99):
+            for k in range(1, trials + 1):
+                p = k / trials
+                n = attempts_for_confidence(p, confidence)
+                assert (1 - p) ** n <= 1 - confidence, (k, trials, confidence)
+                assert n == 1 or (1 - p) ** (n - 1) > 1 - confidence, (k, trials, confidence)
 
 
 def test_attempts_match_definition_across_the_range():
@@ -317,6 +344,12 @@ def test_verify_propagates_infeasible_domains():
         verify_against_bruteforce(
             oracle, {"x": Continuous(1.0)}, LocalSuppressionConfig(), trials=10
         )
+
+
+def test_verify_checks_the_original_before_enumerating():
+    entry = corpus.load("birday")
+    with pytest.raises(EvaluationError, match="'day'"):
+        verify_against_bruteforce(entry.oracle, {}, LocalSuppressionConfig(), trials=10)
 
 
 def test_verify_string_oracle_against_closed_form():

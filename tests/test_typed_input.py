@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import anonrepro.cli as cli
-from anonrepro.errors import EnumerationInfeasibleError, TraceParseError
+from anonrepro.errors import DomainError, EnumerationInfeasibleError, TraceParseError
 from anonrepro.model import (
     Continuous,
     NumericDomain,
     TupleDomain,
     TupleValue,
+    conforms,
     domain_from_json,
     parse_trace,
 )
@@ -22,6 +24,8 @@ from anonrepro.techniques import (
     LocalSuppressionConfig,
     NoiseAdditionConfig,
     RoundingConfig,
+    Suppressed,
+    regenerate,
 )
 
 NUMERIC = {"kind": "numeric", "min": 0, "max": 10, "integer": True}
@@ -106,6 +110,48 @@ def test_regenerate_rejects_typed_domain_fields(tmp_path, capsys, domain, key):
     ]})
     exits_1_naming(["regenerate", "--trace", trace,
                     "--out", str(tmp_path / "out.json")], key, capsys)
+
+
+WIDE_GRIDS = [
+    {"kind": "numeric", "min": 0, "max": 10, "precision": 20},
+    {"kind": "numeric", "min": 0, "max": 10, "precision": 400},
+    {"kind": "numeric", "min": 0, "max": 1e19, "integer": True},
+]
+
+
+@pytest.mark.parametrize("domain", WIDE_GRIDS, ids=["precision-20", "precision-400", "max-1e19"])
+def test_domains_whose_grid_leaves_int64_exit_1(tmp_path, capsys, domain):
+    trace = write(tmp_path / "trace.json", {"events": [
+        {"action": "type", "widget": "w", "data": {"value": "5", "domain": domain}},
+    ]})
+    noise = write(tmp_path / "cfg.json", {"technique": "noise_addition", "noise": 0.5})
+    anonymized = write(tmp_path / "anon.json", {"events": [
+        {"action": "type", "widget": "w",
+         "record": {"record": "suppressed", "domain": domain}},
+    ]})
+    for argv in (["anonymize", "--trace", trace, "--config", noise],
+                 ["regenerate", "--trace", anonymized]):
+        assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert "int64" in err and "numeric domain" in err and "unexpected" not in err, err
+
+
+def test_grid_index_edge_of_int64():
+    top = 2**63 - 1024  # the largest float below 2**63
+    fits = [NumericDomain(-(2**63), top, integer=True), NumericDomain(-9, 9, precision=18)]
+    for domain in fits:
+        for seed in range(20):
+            value = regenerate(Suppressed(domain), np.random.default_rng(seed))
+            assert conforms(value, domain)
+    for lo, hi, kwargs in [
+        (0, 2**63, {"integer": True}),
+        (-(2**63) - 2048, 0, {"integer": True}),  # the next float below -2**63
+        (-9, 9.25, {"precision": 18}),
+        (-9.25, 9, {"precision": 18}),
+        (0, 1, {"precision": 19}),
+    ]:
+        with pytest.raises(DomainError, match="int64"):
+            NumericDomain(lo, hi, **kwargs)
 
 
 # ---------------------------------------------------------------------------
