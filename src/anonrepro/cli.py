@@ -38,6 +38,7 @@ from .harness import (
 from .model import (
     Event,
     FailureTrace,
+    check_keys,
     check_type,
     event_from_json,
     parse_trace,
@@ -103,6 +104,7 @@ def _write_text(path: Path, text: str) -> None:
 def _config_or_map(raw: Any, key: str) -> TechniqueConfig | dict[str, TechniqueConfig]:
     """One technique object, or ``{key: {name: technique object}}``."""
     if isinstance(raw, dict) and key in raw:
+        check_keys(raw, (key,), f"a config with {key!r}", ConfigError)
         if not isinstance(raw[key], dict):
             raise ConfigError(f"{key!r} must map names to technique configs")
         return {name: config_from_json(cfg) for name, cfg in raw[key].items()}
@@ -144,7 +146,7 @@ def cmd_regenerate(args: argparse.Namespace) -> int:
                 f"event {index} holds a raw value; regenerate expects an "
                 "anonymized trace (run 'anonymize' first)"
             )
-        event = event_from_json(item, index)
+        event = event_from_json(item, index, payload="record")
         if "record" in item:
             record = record_from_json(item["record"])
             value = regenerate(record, substream(args.seed, index))
@@ -163,11 +165,7 @@ def _load_run_config(args: argparse.Namespace) -> dict[str, Any]:
     raw = _read_json(args.config) if args.config else {}
     if not isinstance(raw, dict):
         raise ConfigError("a run config is a JSON object")
-    unknown = set(raw) - set(_RUN_DEFAULTS)
-    if unknown:
-        raise ConfigError(
-            f"unknown run config key(s): {', '.join(sorted(unknown))}"
-        )
+    check_keys(raw, _RUN_DEFAULTS, "run config", ConfigError)
     cfg = {**_RUN_DEFAULTS, **raw}
     for key, default in _RUN_DEFAULTS.items():
         if getattr(args, key, None) is not None:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import OracleError, ValidationError
-from .model import DataValue, check_type, conforms, value_from_json, value_to_json
+from .model import DataValue, check_keys, check_type, conforms, value_from_json, value_to_json
 from .oracles import BugOracle, evaluate, oracle_from_json, oracle_to_json
 from .techniques import TechniqueConfig, config_from_json, config_to_json
 
@@ -78,9 +78,7 @@ def entry_from_json(raw: Any) -> CorpusEntry:
         raise OracleError(f"a corpus entry is a JSON object, got {raw!r}")
     oracle = oracle_from_json(raw)
     where = f"entry {oracle.name!r}"
-    unknown = [key for key in raw if key not in _ENTRY_KEYS]
-    if unknown:
-        raise OracleError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    check_keys(raw, _ENTRY_KEYS, where, OracleError)
     if "original" not in raw:
         raise OracleError(f"{where} has no original input")
     raw_original = check_type(raw["original"], (dict,), where, "original", OracleError)

@@ -438,6 +438,20 @@ def check_type(
     raise error(f"{where}: {key!r} must be {expected}, got {raw!r}")
 
 
+def check_keys(
+    raw: Mapping[str, Any],
+    known: Iterable[str],
+    where: str,
+    error: type[ValidationError] = TraceParseError,
+) -> None:
+    """Raise ``error`` naming ``where`` and every key of the JSON object
+    ``raw`` outside ``known``: a misspelt key would otherwise drop or change
+    its content without a word."""
+    unknown = set(raw).difference(known)
+    if unknown:
+        raise error(f"unknown key(s) for {where}: {', '.join(map(repr, sorted(unknown)))}")
+
+
 FieldTable = tuple[tuple[str, str, Any, str, bool], ...]
 
 
@@ -474,22 +488,27 @@ def fields_from_json(
     where: str,
     error: type[ValidationError] = TraceParseError,
     element: Callable[[Any], Any] | None = None,
+    *,
+    kind: str,
 ) -> dict[str, Any]:
     """Constructor arguments for a dataclass read from the JSON object ``raw``.
 
     ``table`` comes from ``field_table``; only a field with a default may be
-    left out.  A field annotated with a domain type is read by
-    ``domain_from_json`` and must be of that type, and a ``DataValue`` is read
-    against the ``domain`` field before it.  ``element`` reads a field of
+    left out, and ``raw`` may hold no key but the table's and the format's
+    ``kind`` key (see ``check_keys``).  A field annotated with a domain type
+    is read by ``domain_from_json`` and must be of that type, and a
+    ``DataValue`` is read against the ``domain`` field before it.  ``element`` reads a field of
     another dataclass type, and each item of a ``tuple[X, ...]`` array.  Any
     other value must pass ``check_type``.
     """
     kwargs: dict[str, Any] = {}
+    found = kind in raw  # keys counted, so a well-formed object builds no set
     for name, key, hint, reader, required in table:
         if key not in raw:
             if required:
                 raise error(f"{where} is missing key {key!r}")
             continue
+        found += 1
         item = raw[key]
         if reader == "scalar":
             if type(item) not in hint:  # the common case skips the call
@@ -508,6 +527,8 @@ def fields_from_json(
             kwargs[name] = tuple(map(element, item))  # type: ignore[arg-type]
         else:
             raise error(f"{where}: {key!r} must be an array, got {item!r}")
+    if found < len(raw):
+        check_keys(raw, {kind, *(key for _, key, *_ in table)}, where, error)
     return kwargs
 
 
@@ -556,6 +577,7 @@ def domain_from_json(raw: Any) -> DomainSpec:
         raise TraceParseError(f"domain must be an object with a 'kind': {raw!r}")
     kind = raw["kind"]
     if kind == "categorical":
+        check_keys(raw, ("kind", "categories", "hierarchy"), "categorical domain")
         if "categories" not in raw:
             raise TraceParseError("domain is missing key 'categories'")
         categories, hierarchy = raw["categories"], raw.get("hierarchy")
@@ -574,7 +596,8 @@ def domain_from_json(raw: Any) -> DomainSpec:
         return CategoricalDomain(categories=categories, hierarchy=hierarchy)
     if isinstance(kind, str) and kind in _DOMAIN_FIELDS:
         cls, table = _DOMAIN_FIELDS[kind]
-        return cls(**fields_from_json(table, raw, f"{kind} domain", element=domain_from_json))
+        return cls(**fields_from_json(
+            table, raw, f"{kind} domain", element=domain_from_json, kind="kind"))
     raise TraceParseError(f"unknown domain kind {kind!r}")
 
 
@@ -636,10 +659,14 @@ def event_to_json(event: Event) -> dict[str, Any]:
     return out
 
 
-def event_from_json(raw: Any, index: int) -> Event:
+def event_from_json(raw: Any, index: int, payload: str = "data") -> Event:
+    """Event ``index`` of a trace.  Besides its action and widget an event
+    holds only its ``payload`` key: the ``data`` read here in a trace, or the
+    ``record`` its caller reads in an anonymized trace."""
     where = f"event {index}"
     if not isinstance(raw, dict):
         raise TraceParseError(f"{where}: expected an object, got {raw!r}")
+    check_keys(raw, ("action", "widget", payload), where)
     for key in ("action", "widget"):
         if not isinstance(raw.get(key), str):
             raise TraceParseError(f"{where}: missing or non-string {key!r}")
@@ -648,6 +675,7 @@ def event_from_json(raw: Any, index: int) -> Event:
         return Event(action=raw["action"], widget=raw["widget"])
     if not isinstance(data, dict) or "value" not in data or "domain" not in data:
         raise TraceParseError(f"{where}: data needs 'value' and 'domain'")
+    check_keys(data, ("value", "domain"), f"{where} data")
     domain = domain_from_json(data["domain"])
     value = value_from_json(data["value"], domain)
     try:

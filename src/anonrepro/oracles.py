@@ -320,8 +320,12 @@ def _check_expr(
             expect_string(expr.field)
         else:
             expect_numeric(expr.field)
+            if expr.value != expr.value:  # NaN equals nothing
+                raise fail(f"equals on {expr.field!r} compares with NaN")
     elif isinstance(expr, InRange):
         expect_numeric(expr.field)
+        if expr.lo != expr.lo or expr.hi != expr.hi:
+            raise fail(f"in_range on {expr.field!r} has a NaN bound")
         if expr.lo > expr.hi:
             raise fail(f"empty range [{expr.lo}, {expr.hi}]")
     elif isinstance(expr, (Contains, MatchesClass, EndsWith, CharAt, LengthGt)):
@@ -584,7 +588,7 @@ def expr_from_json(raw: Any) -> OracleExpr:
     if cls is None:
         raise OracleError(f"unknown predicate op {op!r}")
     kwargs = fields_from_json(
-        _OP_FIELDS[cls], raw, f"predicate op {op!r}", OracleError, expr_from_json
+        _OP_FIELDS[cls], raw, f"predicate op {op!r}", OracleError, expr_from_json, kind="op"
     )
     return cls(**kwargs)
 

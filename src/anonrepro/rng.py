@@ -278,9 +278,10 @@ class TrialBlock:
 
 def bounded(half: np.ndarray, top: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's draw of an integer in [0, ``top``] from one 32-bit value, for
-    0 < ``top`` < 2**32 (Lemire, "Fast Random Integer Generation in an
+    0 <= ``top`` < 2**32 (Lemire, "Fast Random Integer Generation in an
     Interval", 2019): the value, and where numpy would reject that 32-bit
-    value and draw again.  ``top`` = 0 draws nothing, and is the caller's."""
+    value and draw again.  ``top`` = 0 gives 0 and is never rejected; numpy
+    draws nothing then, so the caller must not count the value as consumed."""
     span = np.asarray(top, dtype=np.uint64) + np.uint64(1)
     product = half * span
     rejected = (product & _LO32) < (_LO32 - (span - np.uint64(1))) % span

@@ -324,16 +324,6 @@ def _grid_ceil(x: float, scale: int) -> int:
     return idx
 
 
-def _grid_floor(x: float, scale: int) -> int:
-    """Largest integer i with i/scale <= x."""
-    idx = math.floor(x * scale)
-    if (idx + 1) / scale <= x:
-        idx += 1
-    elif idx / scale > x:
-        idx -= 1
-    return idx
-
-
 def integer_bounds(lo: float, hi: float, hi_inclusive: bool) -> tuple[int, int]:
     """Inclusive integer bounds of the interval; raises when it holds none."""
     lo_i = math.ceil(lo)
@@ -356,7 +346,7 @@ def _grid_plan(domain: NumericDomain, lo: float, hi: float, hi_inclusive: bool) 
     precision = domain.effective_precision
     scale = 10**precision
     lo_idx = _grid_ceil(lo, scale)
-    hi_idx = _grid_floor(hi, scale)
+    hi_idx = -_grid_ceil(-hi, scale)  # the largest i with i/scale <= hi
     if not hi_inclusive and hi_idx / scale == hi:
         hi_idx -= 1
     if lo_idx > hi_idx:
@@ -683,8 +673,6 @@ def _integer_column(
     """``rng.integers(lo, hi + 1)`` per trial, and the trials it rejects."""
     if not -_EXACT < lo <= hi < _EXACT or hi - lo > _MASK32:
         return None
-    if lo == hi:  # numpy draws nothing for an empty range
-        return np.full(len(block), lo, dtype=np.int64), np.zeros(len(block), bool)
     value, rejected = bounded(block.halves(1)[0], hi - lo)
     return value + lo, rejected
 
@@ -787,20 +775,16 @@ def _string_column(block: TrialBlock, plan: Chars) -> Column | None:
     # the permutation's k - 1 each, with room for the permutation's rejections
     wanted = drawn_length + picking * max(hi, k) + 4 * k
     halves = block.halves(max(1, min(wanted, 2 * TAPE_WORDS)))
-    leftover = np.zeros(n, dtype=bool)
-    if drawn_length:
-        length, leftover = bounded(halves[0], hi - lo)
-        length += lo
-    else:
-        length = np.full(n, lo, dtype=np.int64)
+    length, leftover = bounded(halves[0], hi - lo)
+    length += lo
     raised = length < k
     length = np.maximum(length, k)
     width = min(int(length.max()), len(halves) - drawn_length)
     leftover |= length > width
     in_string = np.arange(width)[:, None] < length
     alphabet_codes = np.array([ord(c) for c in alphabet], dtype=np.uint32)
-    codes = np.full((width, n), alphabet_codes[0], dtype=np.uint32)
-    for first in range(0, width if picking else 0, _SLAB):  # bounds the temporaries
+    codes = np.empty((width, n), dtype=np.uint32)
+    for first in range(0, width, _SLAB):  # bounds the temporaries
         at = slice(first, min(first + _SLAB, width))
         picks, rejected = bounded(
             halves[drawn_length + at.start : drawn_length + at.stop], len(alphabet) - 1
@@ -848,16 +832,20 @@ def regenerate_block(
     trial's stream g, with ``record`` None meaning ``anonymize(original,
     domain, cfg, g)`` (noise addition, which draws while anonymizing).
 
-    When the block has derived states, the values come from its tape as one
-    column of the record's draw plan (``noise_plan`` when ``record`` is
-    None), except for the trials the column leaves over, which take the
-    scalar path; tuple fields take it throughout.  The first trial always
-    runs the scalar path first, so it raises what the per-trial loop would
-    raise; the first trial the column covers is compared with the scalar
-    path on the same state, and on any difference (a numpy whose algorithms
-    have changed) the whole block takes the scalar path.  The result never
-    depends on the column alone.
+    The field's draw plan (``noise_plan`` when ``record`` is None) is built
+    first, so the block raises what the scalar path would.  When the block
+    has derived states, the values come from its tape as one column of that
+    plan.  The first trial the column covers is compared with the scalar
+    path on the same state; on any difference (a numpy whose algorithms have
+    changed) every trial takes the scalar path, and otherwise only the
+    trials the column leaves over do.  The result never depends on the
+    column alone.  A tuple field has no plan and raises ConfigError: its
+    components draw from streams split off ``substream``'s own.
     """
+    if isinstance(domain if record is None else record_domain(record), TupleDomain):
+        raise ConfigError("a tuple field is regenerated per trial, from its substream")
+    plan = (draw_plan(record) if record is not None
+            else noise_plan(original, domain, cfg.noise))  # type: ignore[union-attr]
 
     def scalar(row: int, raises: Counter = length_raises) -> DataValue:
         stream = block.stream(row)
@@ -865,32 +853,24 @@ def regenerate_block(
         return regenerate(drawn, stream, raises)
 
     n = len(block)
-    field = domain if record is None else record_domain(record)
-    if block.states is None or isinstance(field, TupleDomain):
+    column = None if block.states is None else _column(plan, block)
+    if column is None:
         return [scalar(row) for row in range(n)]
-    first_raises: Counter = Counter()
-    first = scalar(0, first_raises)
-    column = _column(
-        draw_plan(record) if record is not None
-        else noise_plan(original, domain, cfg.noise),  # type: ignore[union-attr]
-        block,
-    )
-    if column is not None:
-        values, leftover, raises = column
-        covered = np.flatnonzero(~leftover)
-        if covered.size:
-            check = int(covered[0])
-            reference = first if check == 0 else scalar(check, Counter())
-            if repr(reference) == repr(values[check]):
-                length_raises += raises
-                if leftover[0]:
-                    values[0] = first
-                    length_raises += first_raises
-                for row in np.flatnonzero(leftover[1:]).tolist():
-                    values[row + 1] = scalar(row + 1)
-                return values
-    length_raises += first_raises
-    return [first, *(scalar(row) for row in range(1, n))]
+    values, leftover, raises = column
+    covered = np.flatnonzero(~leftover)
+    if covered.size:
+        check = int(covered[0])
+        check_raises: Counter = Counter()
+        reference = scalar(check, check_raises)
+        if repr(reference) == repr(values[check]):
+            length_raises += raises
+        else:
+            values[check] = reference
+            length_raises += check_raises
+            leftover = np.arange(n) != check
+    for row in np.flatnonzero(leftover).tolist():
+        values[row] = scalar(row)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -944,13 +924,8 @@ def config_from_json(raw: Any) -> TechniqueConfig:
         raise ConfigError(
             f"unknown technique {name!r}; expected one of {sorted(_CONFIG_TYPES)}"
         )
-    table = _FIELDS[cls]
-    unknown = set(raw) - {"technique", *(key for _, key, *_ in table)}
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) for {name!r}: {', '.join(sorted(unknown))}"
-        )
-    return cls(**fields_from_json(table, raw, f"technique {name!r}", ConfigError))
+    return cls(**fields_from_json(
+        _FIELDS[cls], raw, f"technique {name!r}", ConfigError, kind="technique"))
 
 
 def record_to_json(record: AnonymizedRecord) -> dict[str, Any]:
@@ -968,7 +943,7 @@ def record_from_json(raw: Any) -> AnonymizedRecord:
     if cls is None:
         raise TraceParseError(f"unknown record kind {kind!r}")
     kwargs = fields_from_json(
-        _FIELDS[cls], raw, f"{kind} record", element=record_from_json
+        _FIELDS[cls], raw, f"{kind} record", element=record_from_json, kind="record"
     )
     if cls is SpecialChars:
         domain, specials = kwargs["domain"], kwargs["specials"]

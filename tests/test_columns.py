@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonrepro import corpus, rng, techniques
-from anonrepro.errors import EnumerationInfeasibleError
+from anonrepro.errors import ConfigError, EnumerationInfeasibleError
 from anonrepro.harness import resolve_configs, run_trials
 from anonrepro.model import (
     Categorical,
@@ -21,6 +21,8 @@ from anonrepro.model import (
     NumericDomain,
     StringDomain,
     Text,
+    TupleDomain,
+    TupleValue,
 )
 from anonrepro.oracles import technique_distribution
 from anonrepro.rng import TAPE_WORDS, TrialBlock, substream
@@ -34,12 +36,15 @@ from anonrepro.techniques import (
     NoiseAdditionConfig,
     RoundingConfig,
     SCDLocalSuppressionConfig,
+    Span,
     SpecialChars,
     Suppressed,
     anonymize,
     draws_to_anonymize,
     regenerate,
     regenerate_block,
+    _grid_ceil,
+    _grid_plan,
 )
 
 DAYS = NumericDomain(1, 31, integer=True)
@@ -208,11 +213,50 @@ def test_rejected_draws_take_the_scalar_path(monkeypatch, record):
 
 
 def test_narrow_interval_draws_uniform():
-    # no point of the 0.01 grid inside [0.101, 0.104): _sample_real's uniform fallback
+    # no point of the 0.01 grid inside [0.101, 0.104): _grid_plan's Span fallback
     record = IntervalGroup(NumericDomain(0, 1, precision=2), 0.101, 0.104, False)
     assert assert_column_is_scalar(None, None, None, 2, range(0, 500), 3, record) == 1
     assert assert_column_is_scalar(
         Continuous(4.005, 3), REAL, NoiseAdditionConfig(1e-6), 2, range(0, 500), 3) == 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(ends=st.lists(st.floats(-1, 1), min_size=2, max_size=2),
+       precision=st.integers(min_value=0, max_value=18), hi_inclusive=st.booleans())
+def test_grid_edges_are_the_outermost_points_inside(ends, precision, hi_inclusive):
+    # Grid.lo is the smallest i with i/scale >= lo and Grid.hi the largest with
+    # i/scale <= hi (< hi for an open end); a Span has no such point between
+    # them.  Inside the bound the grid points are distinct floats.
+    bound = 2.0**51 / 10**precision
+    lo, hi = sorted(bound * end for end in ends)
+    scale = 10**precision
+    plan = _grid_plan(NumericDomain(-bound, bound, precision=precision), lo, hi, hi_inclusive)
+
+    def below_hi(i):
+        return i / scale <= hi if hi_inclusive else i / scale < hi
+
+    if isinstance(plan, Span):
+        first = _grid_ceil(lo, scale)
+        assert (first - 1) / scale < lo <= first / scale and not below_hi(first)
+    else:
+        assert (plan.scale, plan.precision) == (scale, precision)
+        assert (plan.lo - 1) / scale < lo <= plan.lo / scale
+        assert below_hi(plan.hi) and not below_hi(plan.hi + 1)
+
+
+DATE = TupleDomain((DAYS, NumericDomain(1, 12, integer=True)))
+
+
+@pytest.mark.parametrize("cfg", [
+    LocalSuppressionConfig(), GlobalRecodingConfig(2), NoiseAdditionConfig(0.5),
+], ids=["suppressed", "recoded", "noise"])
+def test_tuple_fields_have_no_column(cfg):
+    # a tuple's components draw from streams split off substream's own, which a
+    # block's reused generator cannot give
+    original = TupleValue((Continuous(17), Continuous(3)))
+    record = None if draws_to_anonymize(cfg) else anonymize(original, DATE, cfg)
+    with pytest.raises(ConfigError, match="tuple field"):
+        regenerate_block(original, DATE, cfg, record, TrialBlock(7, range(20), 0), Counter())
 
 
 def test_strings_longer_than_the_tape_take_the_scalar_path():
