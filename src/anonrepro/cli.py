@@ -16,8 +16,9 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from . import corpus, report as report_mod
 from .errors import (
@@ -92,6 +93,15 @@ def _read_json(path: str) -> Any:
         ) from exc
 
 
+@contextmanager
+def _naming(where: str) -> Iterator[None]:
+    """Prefix ``where`` (an input path, an event) to an error raised inside."""
+    try:
+        yield
+    except AnonReproError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -112,19 +122,22 @@ def _config_or_map(raw: Any, key: str) -> TechniqueConfig | dict[str, TechniqueC
 
 
 def cmd_anonymize(args: argparse.Namespace) -> int:
-    trace = parse_trace(_read_text(args.trace))
-    configs = _config_or_map(_read_json(args.config), "widgets")
+    text = _read_text(args.trace)
+    with _naming(args.trace):
+        trace = parse_trace(text)
+    raw_configs = _read_json(args.config)
+    with _naming(args.config):
+        configs = _config_or_map(raw_configs, "widgets")
     events_out: list[dict[str, Any]] = []
     for index, event in enumerate(trace.events):
         item: dict[str, Any] = {"action": event.action, "widget": event.widget}
         if event.data is not None:
-            cfg = configs.get(event.widget) if isinstance(configs, dict) else configs
-            if cfg is None:
-                raise ConfigError(
-                    f"no technique configured for widget {event.widget!r}"
-                )
-            value, domain = event.data
-            record = anonymize(value, domain, cfg, substream(args.seed, index))
+            with _naming(f"{args.trace}: event {index}"):
+                cfg = configs.get(event.widget) if isinstance(configs, dict) else configs
+                if cfg is None:
+                    raise ConfigError(f"no technique configured for widget {event.widget!r}")
+                value, domain = event.data
+                record = anonymize(value, domain, cfg, substream(args.seed, index))
             item["record"] = record_to_json(record)
         events_out.append(item)
     _write_text(
@@ -137,21 +150,23 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
 
 def cmd_regenerate(args: argparse.Namespace) -> int:
     raw = _read_json(args.trace)
-    if not isinstance(raw, dict) or not isinstance(raw.get("events"), list):
-        raise TraceParseError("a trace is an object with an 'events' array")
     events: list[Event] = []
-    for index, item in enumerate(raw["events"]):
-        if isinstance(item, dict) and "data" in item:
-            raise ValidationError(
-                f"event {index} holds a raw value; regenerate expects an "
-                "anonymized trace (run 'anonymize' first)"
-            )
-        event = event_from_json(item, index, payload="record")
-        if "record" in item:
-            record = record_from_json(item["record"])
-            value = regenerate(record, substream(args.seed, index))
-            event = Event(event.action, event.widget, (value, record_domain(record)))
-        events.append(event)
+    with _naming(args.trace):
+        if not isinstance(raw, dict) or not isinstance(raw.get("events"), list):
+            raise TraceParseError("a trace is an object with an 'events' array")
+        for index, item in enumerate(raw["events"]):
+            if isinstance(item, dict) and "data" in item:
+                raise ValidationError(
+                    f"event {index} holds a raw value; regenerate expects an "
+                    "anonymized trace (run 'anonymize' first)"
+                )
+            event = event_from_json(item, index, payload="record")
+            if "record" in item:
+                with _naming(f"event {index}"):
+                    record = record_from_json(item["record"])
+                    value = regenerate(record, substream(args.seed, index))
+                event = Event(event.action, event.widget, (value, record_domain(record)))
+            events.append(event)
     _write_text(Path(args.out), serialize_trace(FailureTrace(tuple(events))))
     print(f"regenerated {len(events)} event(s) -> {args.out}")
     return 0

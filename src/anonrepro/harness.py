@@ -6,10 +6,11 @@ bug oracle whether the regenerated assignment still triggers the failure.
 Every trial draws from its own random substream keyed by (seed, trial,
 field index), so results do not depend on execution order and a parallel
 run reproduces a serial one bit for bit.  The trials are regenerated a
-block at a time, one column per field, from the streams' word tape
-(``rng.TrialBlock``, ``techniques.regenerate_block``), and then scored one
-by one; the counts are those of the per-trial loop.  SCD length raises are
-counted and logged once per run.
+block at a time, one column per field drawn from the field's draw plan
+(``techniques.field_plan``) on the streams' word tape (``rng.TrialBlock``,
+``techniques.regenerate_block``), and then scored one by one; the counts
+are those of the per-trial loop.  SCD length raises are counted and logged
+once per run.
 
 ``run_trials(workers=N)`` splits a run's trials into chunks over one
 process pool shared by every call in the process.  The pool is started on
@@ -41,7 +42,7 @@ from scipy.stats import binom
 
 from .corpus import CorpusEntry
 from .errors import ConfigError, InvalidBaselineError
-from .model import DataValue, TupleDomain, values_equal
+from .model import DataValue, values_equal
 from .oracles import (
     BugOracle,
     evaluate,
@@ -51,15 +52,15 @@ from .oracles import (
 )
 from .rng import TrialBlock, blocks, substream
 from .techniques import (
-    AnonymizedRecord,
     GlobalRecodingConfig,
     LocalSuppressionConfig,
     NoiseAdditionConfig,
+    Plan,
     RoundingConfig,
     SCDLocalSuppressionConfig,
     TechniqueConfig,
-    anonymize,
-    draws_to_anonymize,
+    anonymize_conforming,
+    field_plan,
     regenerate,
     regenerate_block,
     technique_name,
@@ -198,13 +199,12 @@ def _run_chunk(
 
     Each trial draws exactly what ``substream(seed, trial, index)`` gives
     it.  The trials are taken a block at a time (``rng.blocks``): each field
-    is regenerated for the whole block as one column
-    (``techniques.regenerate_block``, from the block's derived streams), and
-    then each trial of the block is scored.  Tuple fields take ``substream``
+    is regenerated for the whole block as one column of its draw plan
+    (``techniques.field_plan``, built once, in field order during the first
+    block, so the first failing field raises first), and then each trial of
+    the block is scored.  A tuple field has no plan and takes ``substream``
     itself, one trial at a time, because ``Generator.spawn`` needs the
-    stream's own ``SeedSequence``.  A field whose technique does not draw
-    while anonymizing is anonymized once and regenerated from that record in
-    every trial.
+    stream's own ``SeedSequence``.
 
     Length raises are counted per (field, specials' count) instead of being
     logged per trial.  The originals are checked by ``run_trials`` and every
@@ -212,7 +212,7 @@ def _run_chunk(
     ``evaluate_expr`` without checking the assignment again.
     """
     names = oracle.field_names
-    records: list[AnonymizedRecord | None] = [None] * len(originals)
+    plans: list[Plan | None] = []
     raises = [Counter() for _ in originals]
     successes = 0
     disclosures = 0
@@ -221,24 +221,17 @@ def _run_chunk(
         for index, ((_, domain), original, cfg) in enumerate(
             zip(oracle.fields, originals, per_field)
         ):
-            record = records[index]
-            if record is None and not draws_to_anonymize(cfg):
-                record = records[index] = anonymize(original, domain, cfg)
-            if isinstance(domain, TupleDomain):
+            if index == len(plans):
+                plans.append(field_plan(original, domain, cfg))
+            if plans[index] is None:
                 columns.append([
-                    regenerate(
-                        record if record is not None
-                        else anonymize(original, domain, cfg, rng),
-                        rng,
-                        raises[index],
-                    )
+                    regenerate(anonymize_conforming(original, domain, cfg, rng), rng,
+                               raises[index])
                     for rng in map(substream, repeat(seed), block, repeat(index))
                 ])
             else:
                 columns.append(regenerate_block(
-                    original, domain, cfg, record,
-                    TrialBlock(seed, block, index), raises[index],
-                ))
+                    plans[index], TrialBlock(seed, block, index), raises[index]))
         for values in zip(*columns):
             if evaluate_expr(oracle.predicate, dict(zip(names, values))):
                 successes += 1

@@ -676,14 +676,12 @@ def event_from_json(raw: Any, index: int, payload: str = "data") -> Event:
     if not isinstance(data, dict) or "value" not in data or "domain" not in data:
         raise TraceParseError(f"{where}: data needs 'value' and 'domain'")
     check_keys(data, ("value", "domain"), f"{where} data")
-    domain = domain_from_json(data["domain"])
-    value = value_from_json(data["value"], domain)
     try:
+        domain = domain_from_json(data["domain"])
+        value = value_from_json(data["value"], domain)
         return Event(action=raw["action"], widget=raw["widget"], data=(value, domain))
-    except NonConformingValueError as exc:
-        raise NonConformingValueError(
-            f"{where} (widget {raw['widget']!r}): {exc}"
-        ) from exc
+    except ValidationError as exc:
+        raise type(exc)(f"{where} (widget {raw['widget']!r}): {exc}") from exc
 
 
 def parse_trace(text: str) -> FailureTrace:

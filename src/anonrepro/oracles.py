@@ -53,15 +53,12 @@ from .techniques import (
     Chars,
     Constant,
     Grid,
-    NoiseAdditionConfig,
     Pick,
     SCDLocalSuppressionConfig,
     Span,
     TechniqueConfig,
-    anonymize_conforming,
-    draw_plan,
+    field_plan,
     integer_bounds,
-    noise_plan,
 )
 
 #: Hard cap on how many joint outcomes exact enumeration may visit.
@@ -434,7 +431,7 @@ def technique_distribution(
     cfg: TechniqueConfig, value: DataValue, domain: DomainSpec
 ) -> FiniteDistribution:
     """Exact distribution of anonymize-then-regenerate for one field, read
-    from the record's draw plan (``techniques.draw_plan``).
+    from the field's draw plan (``techniques.field_plan``).
 
     Raises EnumerationInfeasibleError when the output space is continuous or
     too large (real-valued domains, long strings, special-character
@@ -446,12 +443,9 @@ def technique_distribution(
         raise EnumerationInfeasibleError(
             "special-character placement is not enumerated"
         )
-    if isinstance(cfg, NoiseAdditionConfig):
-        plan = noise_plan(value, domain, cfg.noise)
-        if isinstance(plan, Span) and plan.clamp:  # integer noise, in exact arithmetic
-            return _noise_int_distribution(value.value, domain, cfg.noise)  # type: ignore
-    else:
-        plan = draw_plan(anonymize_conforming(value, domain, cfg))
+    plan = field_plan(value, domain, cfg)
+    if isinstance(plan, Span) and plan.clamp:  # integer noise, in exact arithmetic
+        return _noise_int_distribution(value.value, domain, cfg.noise)  # type: ignore
     if isinstance(plan, Constant):
         return FiniteDistribution(((plan.value, Fraction(1)),))
     if isinstance(plan, Pick):

@@ -292,18 +292,3 @@ def bounded(half: np.ndarray, top: np.ndarray | int) -> tuple[np.ndarray, np.nda
 def uniform(word: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """``Generator.uniform(lo, hi)`` from one 64-bit output."""
     return lo + (hi - lo) * ((word >> np.uint64(11)).astype(np.float64) * 2.0**-53)
-
-
-def trial_streams(
-    master_seed: int, trials: range, index: int
-) -> Iterator[np.random.Generator]:
-    """Yield the stream of ``substream(master_seed, t, index)`` for each t in ``trials``.
-
-    Each yielded generator draws exactly what ``substream`` would, but it may
-    be one reused object: consume it before advancing the iterator (see
-    ``TrialBlock.stream``).
-    """
-    for block in blocks(trials):
-        streams = TrialBlock(master_seed, block, index)
-        for row in range(len(block)):
-            yield streams.stream(row)

@@ -33,6 +33,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Any, NamedTuple, Union
 
 import numpy as np
@@ -262,7 +263,8 @@ def record_domain(record: AnonymizedRecord) -> DomainSpec:
 # draw plans: what a record regenerates from
 #
 # ``draw_plan`` and ``noise_plan`` state once which parameters a value is
-# drawn from; ``draw`` (one value), ``_column`` (a block of trials) and
+# drawn from, and ``field_plan`` which of them a field takes under its
+# config; ``draw`` (one value), ``_column`` (a block of trials) and
 # ``oracles.technique_distribution`` (exact enumeration) read them.
 
 
@@ -315,13 +317,22 @@ Plan = Union[Constant, Grid, Span, Pick, Chars]
 
 
 def _grid_ceil(x: float, scale: int) -> int:
-    """Smallest integer i with i/scale >= x."""
+    """Smallest integer i with i/scale >= x, in float division."""
     idx = math.ceil(x * scale)
-    if (idx - 1) / scale >= x:
-        idx -= 1
-    elif idx / scale < x:
-        idx += 1
-    return idx
+    if (idx - 1) / scale < x <= idx / scale:
+        return idx
+    # Past 2**52 grid points are no longer distinct floats.  i/scale is
+    # monotone in i, so bisect between the exact ceiling, which passes, and
+    # a point more than an ulp of x below it, which fails.
+    passes = math.ceil(Fraction(x) * scale)
+    fails = passes - math.ceil(math.ulp(x) * scale) - 1
+    while passes - fails > 1:
+        mid = (passes + fails) // 2
+        if mid / scale >= x:
+            passes = mid
+        else:
+            fails = mid
+    return passes
 
 
 def integer_bounds(lo: float, hi: float, hi_inclusive: bool) -> tuple[int, int]:
@@ -346,9 +357,8 @@ def _grid_plan(domain: NumericDomain, lo: float, hi: float, hi_inclusive: bool) 
     precision = domain.effective_precision
     scale = 10**precision
     lo_idx = _grid_ceil(lo, scale)
-    hi_idx = -_grid_ceil(-hi, scale)  # the largest i with i/scale <= hi
-    if not hi_inclusive and hi_idx / scale == hi:
-        hi_idx -= 1
+    # the largest i with i/scale <= hi, or < hi for an open end
+    hi_idx = -_grid_ceil(-hi, scale) if hi_inclusive else _grid_ceil(hi, scale) - 1
     if lo_idx > hi_idx:
         return Span(lo, hi, precision, None)
     return Grid(lo_idx, hi_idx, scale, precision)
@@ -570,16 +580,6 @@ def noise_addition_anonymize(
 # dispatchers
 
 
-def draws_to_anonymize(cfg: TechniqueConfig) -> bool:
-    """Whether ``anonymize`` draws from its stream under ``cfg``.
-
-    Only noise addition does.  Every other technique anonymizes a given
-    value to the same record each time, so a caller may anonymize once and
-    regenerate from that record.
-    """
-    return isinstance(cfg, NoiseAdditionConfig)
-
-
 def anonymize(
     value: DataValue,
     domain: DomainSpec,
@@ -593,7 +593,7 @@ def anonymize(
     leave it untouched (``Generator.spawn`` advances the generator, and
     callers regenerate from the same stream).
     """
-    if rng is None and draws_to_anonymize(cfg):
+    if rng is None and isinstance(cfg, NoiseAdditionConfig):
         raise ConfigError("noise addition needs a random stream")
     if not conforms(value, domain):
         raise NonConformingValueError(f"value {value!r} does not conform to {domain!r}")
@@ -609,7 +609,7 @@ def anonymize_conforming(
     """``anonymize`` without checking that ``value`` conforms to ``domain``."""
     if isinstance(domain, TupleDomain):
         count = len(domain.components)
-        draws = draws_to_anonymize(cfg)
+        draws = isinstance(cfg, NoiseAdditionConfig)
         streams = split(rng, count) if draws else [rng] * count  # type: ignore[arg-type]
         parts = zip(value.components, domain.components, streams)  # type: ignore[union-attr]
         return TupleRecord(tuple(anonymize_conforming(v, d, cfg, r) for v, d, r in parts))
@@ -624,6 +624,19 @@ def anonymize_conforming(
     if isinstance(cfg, SCDLocalSuppressionConfig):
         return scd_local_suppression_anonymize(value, domain, cfg)
     raise ConfigError(f"unknown technique configuration {cfg!r}")
+
+
+def field_plan(value: DataValue, domain: DomainSpec, cfg: TechniqueConfig) -> Plan | None:
+    """What anonymizing ``value`` under ``cfg`` and regenerating draws from:
+    ``noise_plan`` for noise addition, which draws while anonymizing, and the
+    record's ``draw_plan`` for every other technique.  A tuple field has no
+    plan: its components draw from streams split off ``substream``'s own.
+    ``value`` must conform to ``domain``."""
+    if isinstance(domain, TupleDomain):
+        return None
+    if isinstance(cfg, NoiseAdditionConfig):
+        return noise_plan(value, domain, cfg.noise)
+    return draw_plan(anonymize_conforming(value, domain, cfg))
 
 
 def regenerate(
@@ -818,50 +831,28 @@ def _string_column(block: TrialBlock, plan: Chars) -> Column | None:
     return list(map(Text, texts)), leftover, raises
 
 
-def regenerate_block(
-    original: DataValue,
-    domain: DomainSpec,
-    cfg: TechniqueConfig,
-    record: AnonymizedRecord | None,
-    block: TrialBlock,
-    length_raises: Counter,
-) -> list[DataValue]:
-    """The field's regenerated value in each trial of ``block``.
+def regenerate_block(plan: Plan, block: TrialBlock, length_raises: Counter) -> list[DataValue]:
+    """``draw(plan, g, length_raises)`` on the stream g of each trial of
+    ``block``: the regenerated values of one field, whose plan
+    ``field_plan`` gives.
 
-    Each value is what ``regenerate(record, g, length_raises)`` gives on the
-    trial's stream g, with ``record`` None meaning ``anonymize(original,
-    domain, cfg, g)`` (noise addition, which draws while anonymizing).
-
-    The field's draw plan (``noise_plan`` when ``record`` is None) is built
-    first, so the block raises what the scalar path would.  When the block
-    has derived states, the values come from its tape as one column of that
-    plan.  The first trial the column covers is compared with the scalar
-    path on the same state; on any difference (a numpy whose algorithms have
-    changed) every trial takes the scalar path, and otherwise only the
-    trials the column leaves over do.  The result never depends on the
-    column alone.  A tuple field has no plan and raises ConfigError: its
-    components draw from streams split off ``substream``'s own.
+    When the block has derived states, the values come from its tape as one
+    column of the plan.  The first trial the column covers is compared with
+    the scalar draw on the same state; on any difference (a numpy whose
+    algorithms have changed) every trial takes the scalar draw, and
+    otherwise only the trials the column leaves over do.  The result never
+    depends on the column alone.
     """
-    if isinstance(domain if record is None else record_domain(record), TupleDomain):
-        raise ConfigError("a tuple field is regenerated per trial, from its substream")
-    plan = (draw_plan(record) if record is not None
-            else noise_plan(original, domain, cfg.noise))  # type: ignore[union-attr]
-
-    def scalar(row: int, raises: Counter = length_raises) -> DataValue:
-        stream = block.stream(row)
-        drawn = record if record is not None else anonymize(original, domain, cfg, stream)
-        return regenerate(drawn, stream, raises)
-
     n = len(block)
     column = None if block.states is None else _column(plan, block)
     if column is None:
-        return [scalar(row) for row in range(n)]
+        return [draw(plan, block.stream(row), length_raises) for row in range(n)]
     values, leftover, raises = column
     covered = np.flatnonzero(~leftover)
     if covered.size:
         check = int(covered[0])
         check_raises: Counter = Counter()
-        reference = scalar(check, check_raises)
+        reference = draw(plan, block.stream(check), check_raises)
         if repr(reference) == repr(values[check]):
             length_raises += raises
         else:
@@ -869,7 +860,7 @@ def regenerate_block(
             length_raises += check_raises
             leftover = np.arange(n) != check
     for row in np.flatnonzero(leftover).tolist():
-        values[row] = scalar(row)
+        values[row] = draw(plan, block.stream(row), length_raises)
     return values
 
 
@@ -957,4 +948,10 @@ def record_from_json(raw: Any) -> AnonymizedRecord:
                 f"special_chars record holds {len(specials)} specials, more than "
                 f"the domain's length_max {domain.length_max}"
             )
-    return cls(**kwargs)
+    record = cls(**kwargs)
+    if isinstance(record, IntervalGroup) and record.domain.integer:
+        try:
+            integer_bounds(record.lo, record.hi, record.hi_inclusive)
+        except DegenerateIntervalError as exc:
+            raise TraceParseError(f"interval_group record holds no value: {exc}") from exc
+    return record

@@ -144,14 +144,15 @@ def test_regenerate_rejects_raw_trace(trace_files, capsys):
     assert "anonymize" in capsys.readouterr().err
 
 
-def test_regenerate_runtime_failure_exits_2(tmp_path, capsys):
+def test_regenerate_rejects_an_interval_holding_no_value(tmp_path, capsys):
+    # no integer lies in [2.2, 2.8): the record is bad input, not a failed run
     bad = {
-        "events": [{
+        "events": [{"action": "launch", "widget": "app"}, {
             "action": "type", "widget": "day",
             "record": {
                 "record": "interval_group",
-                "domain": {"kind": "numeric", "min": 1, "max": 31, "integer": True},
-                "lo": 1.2, "hi": 1.9, "hi_inclusive": False,
+                "domain": {"kind": "numeric", "min": 0, "max": 10, "integer": True},
+                "lo": 2.2, "hi": 2.8, "hi_inclusive": False,
             },
         }]
     }
@@ -160,8 +161,9 @@ def test_regenerate_runtime_failure_exits_2(tmp_path, capsys):
     code = cli.main([
         "regenerate", "--trace", str(path), "--out", str(tmp_path / "x.json"),
     ])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{path}: event 1: " in err and "no integer inside [2.2, 2.8)" in err, err
 
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonrepro import corpus, rng, techniques
-from anonrepro.errors import ConfigError, EnumerationInfeasibleError
+from anonrepro.errors import EnumerationInfeasibleError
 from anonrepro.harness import resolve_configs, run_trials
 from anonrepro.model import (
     Categorical,
@@ -40,7 +40,8 @@ from anonrepro.techniques import (
     SpecialChars,
     Suppressed,
     anonymize,
-    draws_to_anonymize,
+    draw_plan,
+    field_plan,
     regenerate,
     regenerate_block,
     _grid_ceil,
@@ -90,23 +91,21 @@ def scalar_values(original, domain, cfg, seed, trials, index):
 
 def column_values(original, domain, cfg, seed, trials, index, record=None):
     """``regenerate_block`` over ``trials`` a block at a time, and how many
-    rows took the scalar ``regenerate``."""
-    if record is None and not draws_to_anonymize(cfg):
-        record = anonymize(original, domain, cfg)
+    rows took the scalar ``draw``."""
+    plan = field_plan(original, domain, cfg) if record is None else draw_plan(record)
     raises = Counter()
     values = []
     calls = []
-    scalar = techniques.regenerate
+    scalar = techniques.draw
 
     def counted(*args):
         calls.append(args)
         return scalar(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(techniques, "regenerate", counted)
+        patch.setattr(techniques, "draw", counted)
         for block in rng.blocks(trials):
-            values += regenerate_block(
-                original, domain, cfg, record, TrialBlock(seed, block, index), raises)
+            values += regenerate_block(plan, TrialBlock(seed, block, index), raises)
     return values, raises, len(calls)
 
 
@@ -226,8 +225,9 @@ def test_narrow_interval_draws_uniform():
 def test_grid_edges_are_the_outermost_points_inside(ends, precision, hi_inclusive):
     # Grid.lo is the smallest i with i/scale >= lo and Grid.hi the largest with
     # i/scale <= hi (< hi for an open end); a Span has no such point between
-    # them.  Inside the bound the grid points are distinct floats.
-    bound = 2.0**51 / 10**precision
+    # them.  Near the bound, grids reach the int64 limit and neighbouring
+    # grid points are no longer distinct floats.
+    bound = 2.0**62 / 10**precision
     lo, hi = sorted(bound * end for end in ends)
     scale = 10**precision
     plan = _grid_plan(NumericDomain(-bound, bound, precision=precision), lo, hi, hi_inclusive)
@@ -244,6 +244,13 @@ def test_grid_edges_are_the_outermost_points_inside(ends, precision, hi_inclusiv
         assert below_hi(plan.hi) and not below_hi(plan.hi + 1)
 
 
+def test_open_grid_end_excludes_a_point_equal_to_the_max():
+    # 5123070953568419 / 10**13 rounds to the excluded max itself
+    domain = NumericDomain(0, 512.307095356842, max_inclusive=False, precision=13)
+    plan = _grid_plan(domain, domain.min, domain.max, domain.max_inclusive)
+    assert plan.hi / plan.scale < domain.max
+
+
 DATE = TupleDomain((DAYS, NumericDomain(1, 12, integer=True)))
 
 
@@ -253,10 +260,7 @@ DATE = TupleDomain((DAYS, NumericDomain(1, 12, integer=True)))
 def test_tuple_fields_have_no_column(cfg):
     # a tuple's components draw from streams split off substream's own, which a
     # block's reused generator cannot give
-    original = TupleValue((Continuous(17), Continuous(3)))
-    record = None if draws_to_anonymize(cfg) else anonymize(original, DATE, cfg)
-    with pytest.raises(ConfigError, match="tuple field"):
-        regenerate_block(original, DATE, cfg, record, TrialBlock(7, range(20), 0), Counter())
+    assert field_plan(TupleValue((Continuous(17), Continuous(3))), DATE, cfg) is None
 
 
 def test_strings_longer_than_the_tape_take_the_scalar_path():
@@ -327,6 +331,6 @@ def test_draws_lie_in_the_enumerated_support(original, domain, cfg, index, suppo
     # the scalar draw, the column and the enumeration read one draw plan
     trials = range(500)
     scalar, _ = scalar_values(original, domain, cfg, 7, trials, index)
-    record = None if draws_to_anonymize(cfg) else anonymize(original, domain, cfg)
-    column = regenerate_block(original, domain, cfg, record, TrialBlock(7, trials, index), Counter())
+    column = regenerate_block(
+        field_plan(original, domain, cfg), TrialBlock(7, trials, index), Counter())
     assert {repr(v) for v in scalar + column} <= support

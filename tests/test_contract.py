@@ -1,10 +1,12 @@
 """The public contract, pinned as text: the JSON written for each technique
 config and each anonymized record kind, the names exported by the package,
-and the options of each CLI subcommand."""
+the options of each CLI subcommand, and the functions the benchmark times."""
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -132,3 +134,18 @@ def test_cli_options():
                      "--confidence", "--workers", "--verify", "--format"],
         "report": ["-h", "--help", "--in", "--format"],
     }
+
+
+def test_benchmark_tracer_finds_every_traced_function():
+    # a traced function that is dropped or renamed would otherwise show only
+    # as "untraced" in a traced benchmark run
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.restore()

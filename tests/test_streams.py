@@ -23,7 +23,7 @@ from anonrepro.model import (
     values_equal,
 )
 from anonrepro.oracles import BugOracle, InRange, LengthGt, evaluate
-from anonrepro.rng import substream, trial_streams
+from anonrepro.rng import TrialBlock, substream
 from anonrepro.techniques import (
     GlobalRecodingConfig,
     LocalSuppressionConfig,
@@ -45,17 +45,18 @@ INDEXES = st.one_of(st.integers(min_value=0, max_value=40), st.sampled_from([2**
 
 
 def assert_same_streams(seed, trials, index):
-    derived = trial_streams(seed, trials, index)
     count = 0
-    for trial, generator in zip(trials, derived):
-        reference = substream(seed, trial, index)
-        assert generator.bit_generator.state == reference.bit_generator.state, trial
-        assert np.array_equal(generator.integers(0, 2**63, size=3),
-                              reference.integers(0, 2**63, size=3))
-        assert generator.random() == reference.random()
-        count += 1
+    for block in rng.blocks(trials):
+        streams = TrialBlock(seed, block, index)
+        for row, trial in enumerate(block):
+            generator = streams.stream(row)
+            reference = substream(seed, trial, index)
+            assert generator.bit_generator.state == reference.bit_generator.state, trial
+            assert np.array_equal(generator.integers(0, 2**63, size=3),
+                                  reference.integers(0, 2**63, size=3))
+            assert generator.random() == reference.random()
+            count += 1
     assert count == len(trials)
-    assert next(derived, None) is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -62,6 +62,26 @@ def test_regenerate_rejects_unknown_keys(tmp_path, capsys, event, key, where):
                     "--out", str(tmp_path / "out.json")], capsys, repr(key), where)
 
 
+TYPO = {**NUMERIC, "integr": True}
+
+
+@pytest.mark.parametrize("event, config, word", [
+    (typed("7", TYPO), SUPPRESS, "'integr'"),
+    (typed("abc", STRING), {"technique": "rounding", "partitions": 2},
+     "rounding applies to numeric values only"),
+    ({"action": "type", "widget": "w", "record": {"record": "suppressed", "domain": TYPO}},
+     None, "'integr'"),
+], ids=["anonymize-domain", "anonymize-config", "regenerate-domain"])
+def test_errors_name_the_file_and_the_event(tmp_path, capsys, event, config, word):
+    launch = {"action": "launch", "widget": "app"}
+    trace = write(tmp_path / "trace.json", {"events": [launch, event]})
+    argv = ["regenerate", "--trace", trace]
+    if config is not None:
+        argv = ["anonymize", "--trace", trace, "--config", write(tmp_path / "cfg.json", config)]
+    exits_1_naming([*argv, "--out", str(tmp_path / "out.json")], capsys,
+                   f"{trace}: event 1", word)
+
+
 def simulate(tmp_path, predicate, techniques=None):
     oracle = write(tmp_path / "oracle.json", {
         "name": "typo",
