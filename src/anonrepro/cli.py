@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -162,9 +163,14 @@ def cmd_regenerate(args: argparse.Namespace) -> int:
                 )
             event = event_from_json(item, index, payload="record")
             if "record" in item:
+                raised: Counter = Counter()
                 with _naming(f"event {index}"):
                     record = record_from_json(item["record"])
-                    value = regenerate(record, substream(args.seed, index))
+                    value = regenerate(record, substream(args.seed, index), raised)
+                for needed in sorted(raised):
+                    log.warning(
+                        "event %d (widget %r): raising regenerated length to %d to fit "
+                        "special characters", index, event.widget, needed)
                 event = Event(event.action, event.widget, (value, record_domain(record)))
             events.append(event)
     _write_text(Path(args.out), serialize_trace(FailureTrace(tuple(events))))

@@ -6,11 +6,14 @@ bug oracle whether the regenerated assignment still triggers the failure.
 Every trial draws from its own random substream keyed by (seed, trial,
 field index), so results do not depend on execution order and a parallel
 run reproduces a serial one bit for bit.  The trials are regenerated a
-block at a time, one column per field drawn from the field's draw plan
-(``techniques.field_plan``) on the streams' word tape (``rng.TrialBlock``,
-``techniques.regenerate_block``), and then scored one by one; the counts
-are those of the per-trial loop.  SCD length raises are counted and logged
-once per run.
+block at a time, one typed column per field drawn from the field's draw
+plan (``techniques.field_plan``) on the streams' word tape
+(``rng.TrialBlock``, ``techniques.regenerate_block``), and each block is
+scored as arrays: a predicate compiled once per run
+(``oracles.compile_expr``) and a disclosure test per field (a number's
+``model.rendering_interval``, a string's code points).  The counts are
+those of the per-trial loop.  SCD length raises are counted and logged once
+per run.
 
 ``run_trials(workers=N)`` splits a run's trials into chunks over one
 process pool shared by every call in the process.  The pool is started on
@@ -36,22 +39,24 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
+import numpy as np
 from scipy.stats import binom
 
 from .corpus import CorpusEntry
 from .errors import ConfigError, InvalidBaselineError
-from .model import DataValue, values_equal
+from .model import Continuous, DataValue, Text, rendering_interval, values_equal
 from .oracles import (
     BugOracle,
+    compile_expr,
     evaluate,
-    evaluate_expr,
     exhaustive_probability,
     technique_distribution,
 )
 from .rng import TrialBlock, blocks, substream
 from .techniques import (
+    Column,
     GlobalRecodingConfig,
     LocalSuppressionConfig,
     NoiseAdditionConfig,
@@ -187,6 +192,17 @@ def _describe(
     return "+".join(names), "+".join(labels), summary
 
 
+def _disclosure(original: DataValue) -> Callable[[Column], np.ndarray]:
+    """Which rows of a field's column read back as ``original``, as
+    ``values_equal`` tells: a number's rendering interval, or a string's or
+    label's code points."""
+    if isinstance(original, Continuous):
+        lo, hi = rendering_interval(original.value, original.precision)
+        return lambda column: (lo <= column.values) & (column.values <= hi)  # type: ignore[union-attr]
+    text = original.value if isinstance(original, Text) else original.label  # type: ignore[union-attr]
+    return lambda column: column.equals(text)  # type: ignore[union-attr]
+
+
 def _run_chunk(
     oracle: BugOracle,
     originals: tuple[DataValue, ...],
@@ -201,42 +217,47 @@ def _run_chunk(
     it.  The trials are taken a block at a time (``rng.blocks``): each field
     is regenerated for the whole block as one column of its draw plan
     (``techniques.field_plan``, built once, in field order during the first
-    block, so the first failing field raises first), and then each trial of
-    the block is scored.  A tuple field has no plan and takes ``substream``
-    itself, one trial at a time, because ``Generator.spawn`` needs the
-    stream's own ``SeedSequence``.
+    block, so the first failing field raises first).  The block is then
+    scored as arrays: the predicate, compiled once (``oracles.compile_expr``),
+    maps the columns to the trials that trigger it, and each field's
+    disclosure test to the trials that read back its original.  A tuple
+    field has no plan and takes ``substream`` itself, one trial at a time,
+    because ``Generator.spawn`` needs the stream's own ``SeedSequence``; no
+    predicate reads it, and ``values_equal`` tests its disclosure per trial.
 
     Length raises are counted per (field, specials' count) instead of being
     logged per trial.  The originals are checked by ``run_trials`` and every
-    regenerated value conforms to its domain, so trials are scored by
-    ``evaluate_expr`` without checking the assignment again.
+    regenerated value conforms to its domain, so the assignments are not
+    checked again.
     """
     names = oracle.field_names
+    triggers = compile_expr(oracle.predicate)
     plans: list[Plan | None] = []
+    disclosed_in: list[Callable[[Column], np.ndarray] | None] = []
     raises = [Counter() for _ in originals]
     successes = 0
     disclosures = 0
     for block in blocks(range(start, stop)):
-        columns = []
-        for index, ((_, domain), original, cfg) in enumerate(
+        columns = {}
+        disclosed = np.ones(len(block), dtype=bool)
+        for index, ((name, domain), original, cfg) in enumerate(
             zip(oracle.fields, originals, per_field)
         ):
             if index == len(plans):
                 plans.append(field_plan(original, domain, cfg))
+                disclosed_in.append(None if plans[index] is None else _disclosure(original))
             if plans[index] is None:
-                columns.append([
-                    regenerate(anonymize_conforming(original, domain, cfg, rng), rng,
-                               raises[index])
+                disclosed &= [
+                    values_equal(original, regenerate(
+                        anonymize_conforming(original, domain, cfg, rng), rng, raises[index]))
                     for rng in map(substream, repeat(seed), block, repeat(index))
-                ])
+                ]
             else:
-                columns.append(regenerate_block(
-                    plans[index], TrialBlock(seed, block, index), raises[index]))
-        for values in zip(*columns):
-            if evaluate_expr(oracle.predicate, dict(zip(names, values))):
-                successes += 1
-            if all(map(values_equal, originals, values)):
-                disclosures += 1
+                columns[name] = regenerate_block(
+                    plans[index], TrialBlock(seed, block, index), raises[index])
+                disclosed &= disclosed_in[index](columns[name])  # type: ignore[misc]
+        successes += int(np.count_nonzero(triggers(columns)))
+        disclosures += int(np.count_nonzero(disclosed))
     length_raises = Counter({
         (name, needed): count
         for name, counts in zip(names, raises)

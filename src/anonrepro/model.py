@@ -340,6 +340,64 @@ def values_equal(reference: DataValue, other: DataValue) -> bool:
     return reference == other
 
 
+_MANTISSA = 1 << 52
+#: ``_float_key`` of the greatest finite float.
+_MAX_KEY = (2046 << 52) + _MANTISSA - 1
+
+
+def _float_key(x: float) -> int:
+    """The place of finite ``x`` among the floats in order: the IEEE 754 bit
+    pattern of ``abs(x)``, negated for negative ``x``; both zeros are 0."""
+    magnitude = abs(x)
+    if magnitude < 2.0**-1022:  # zero and the subnormals, multiples of 2**-1074
+        key = int(math.ldexp(magnitude, 1074))
+    else:
+        fraction, exponent = math.frexp(magnitude)
+        key = ((exponent + 1022) << 52) + int(math.ldexp(fraction, 53)) - _MANTISSA
+    return -key if x < 0 else key
+
+
+def _key_float(key: int) -> float:
+    """The float at place ``key`` (``_float_key``'s inverse; 0 gives +0.0)."""
+    exponent, mantissa = divmod(abs(key), _MANTISSA)
+    if exponent:
+        mantissa += _MANTISSA  # a normal float's implicit leading bit
+    magnitude = math.ldexp(mantissa, max(exponent, 1) - 1075)
+    return -magnitude if key < 0 else magnitude
+
+
+@lru_cache(maxsize=1024)
+def rendering_interval(value: float, precision: int) -> tuple[float, float]:
+    """The least and the greatest finite float x with ``format_number(x,
+    precision) == format_number(value, precision)``: for a reference
+    ``Continuous(value, precision)``, ``values_equal`` holds for every float
+    between them and for no other.
+
+    ``format_number`` rounds monotonically and renders -0 as 0, so those
+    floats form one interval.  Each end is found by bisection over the
+    floats in order, with ``format_number`` itself as the test.  Cached,
+    because every run of an oracle compares with the same originals.
+    """
+    rendered = format_number(value, precision)
+
+    def renders_alike(key: int) -> bool:
+        return format_number(_key_float(key), precision) == rendered
+
+    ends = []
+    for outside in (-_MAX_KEY, _MAX_KEY):
+        inside = _float_key(value)
+        if renders_alike(outside):
+            inside = outside
+        while abs(outside - inside) > 1:
+            middle = (inside + outside) // 2
+            if renders_alike(middle):
+                inside = middle
+            else:
+                outside = middle
+        ends.append(_key_float(inside))
+    return ends[0], ends[1]
+
+
 # ---------------------------------------------------------------------------
 # events and traces
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Union
 
+import numpy as np
+
 from .errors import (
     EnumerationInfeasibleError,
     EvaluationError,
@@ -51,14 +53,17 @@ from .model import (
 )
 from .techniques import (
     Chars,
+    Column,
     Constant,
     Grid,
+    Numbers,
     Pick,
     SCDLocalSuppressionConfig,
     Span,
     TechniqueConfig,
     field_plan,
     integer_bounds,
+    text_codes,
 )
 
 #: Hard cap on how many joint outcomes exact enumeration may visit.
@@ -250,6 +255,118 @@ def evaluate_expr(expr: OracleExpr, assignment: Mapping[str, DataValue]) -> bool
         return _is_decimal_literal(_text(value, expr.field), expr.separator)
     if isinstance(expr, LengthGt):
         return len(_text(value, expr.field)) > expr.length
+    raise EvaluationError(f"unknown predicate node {expr!r}")
+
+
+Compiled = Callable[[Mapping[str, Column]], np.ndarray]
+
+
+def _positions(column: Column) -> np.ndarray:
+    """Which places of each row of a string column lie inside its value."""
+    return np.arange(column.codes.shape[1]) < column.lengths[:, None]  # type: ignore[union-attr]
+
+
+def compile_expr(expr: OracleExpr) -> Compiled:
+    """``evaluate_expr`` for a block of trials at once: a function from the
+    block's columns (``techniques.regenerate_block``), by field name, to
+    whether each trial satisfies ``expr``.
+
+    Unchecked, as ``evaluate_expr`` is: every field the node reads must have
+    a column, numeric or string as ``BugOracle``'s check of the node
+    requires.  Build it once per run; every call reads only its columns.
+    """
+    if isinstance(expr, (And, Or)):
+        parts = [compile_expr(a) for a in expr.args]
+        join = np.logical_and if isinstance(expr, And) else np.logical_or
+        return lambda columns: join.reduce([part(columns) for part in parts])
+    if isinstance(expr, Not):
+        inner = compile_expr(expr.arg)
+        return lambda columns: ~inner(columns)
+    if isinstance(expr, IsLeapDay):
+        day, month, year = expr.day, expr.month, expr.year
+
+        def is_leap_day(columns):
+            y = columns[year].values.astype(np.int64)
+            leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
+            return (columns[day].values == 29) & (columns[month].values == 2) & leap
+        return is_leap_day
+    field = expr.field
+    if isinstance(expr, Equals):
+        if isinstance(expr.value, str):
+            text = expr.value
+            return lambda columns: columns[field].equals(text)
+        number = float(expr.value)
+        return lambda columns: columns[field].values == number
+    if isinstance(expr, InRange):
+        lo, hi = expr.lo, expr.hi
+        return lambda columns: (lo <= columns[field].values) & (columns[field].values <= hi)
+    if isinstance(expr, Contains):
+        target = text_codes(expr.substring)
+        m = len(target)
+
+        def contains(columns):
+            column = columns[field]
+            windows = column.codes.shape[1] - m + 1
+            if windows <= 0:
+                return np.zeros(len(column.lengths), dtype=bool)
+            # window j holds places j .. j + m - 1, all inside the value
+            found = column.lengths[:, None] >= np.arange(m, m + windows)
+            for k, code in enumerate(target.tolist()):
+                found &= column.codes[:, k : k + windows] == code
+            return found.any(axis=1)
+        return contains
+    if isinstance(expr, MatchesClass):
+        alphabet = text_codes(expand_char_class(expr.char_class))
+        allowed = np.zeros(int(alphabet.max()) + 2, dtype=bool)  # the last entry stays False
+        allowed[alphabet] = True
+
+        def matches_class(columns):
+            column = columns[field]
+            inside = allowed[np.minimum(column.codes, len(allowed) - 1)]
+            return (inside | ~_positions(column)).all(axis=1)
+        return matches_class
+    if isinstance(expr, EndsWith):
+        target = text_codes(expr.suffix)
+
+        def ends_with(columns):
+            column = columns[field]
+            width = column.codes.shape[1]
+            if len(target) > width:
+                return np.zeros(len(column.lengths), dtype=bool)
+            places = np.clip(column.lengths[:, None] - len(target) + np.arange(len(target)), 0, None)
+            tail = np.take_along_axis(column.codes, places, axis=1)
+            return (column.lengths >= len(target)) & (tail == target).all(axis=1)
+        return ends_with
+    if isinstance(expr, CharAt):
+        index, code = expr.index, ord(expr.char)
+
+        def char_at(columns):
+            column = columns[field]
+            place = column.lengths + index if index < 0 else np.full(len(column.lengths), index)
+            inside = (place >= 0) & (place < column.lengths)
+            if not inside.any():
+                return inside
+            picked = column.codes[np.arange(len(place)), np.where(inside, place, 0)]
+            return inside & (picked == code)
+        return char_at
+    if isinstance(expr, DecimalSeparatorIs):
+        separator = ord(expr.separator)
+        is_dot = expr.separator == "."
+
+        def decimal_separator_is(columns):
+            column = columns[field]
+            if isinstance(column, Numbers):
+                return np.full(len(column.values), is_dot and column.precision > 0)
+            inside = _positions(column)
+            codes = column.codes
+            at_separator = inside & (codes == separator)
+            stray = inside & ~at_separator & ((codes < ord("0")) | (codes > ord("9")))
+            once = at_separator.sum(axis=1) == 1
+            return once & ~stray.any(axis=1) & (column.lengths >= 2)
+        return decimal_separator_is
+    if isinstance(expr, LengthGt):
+        length = expr.length
+        return lambda columns: columns[field].lengths > length
     raise EvaluationError(f"unknown predicate node {expr!r}")
 
 

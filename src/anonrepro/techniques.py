@@ -666,18 +666,83 @@ def regenerate(
 # ---------------------------------------------------------------------------
 # columns: one field regenerated for a whole block of trials
 #
-# A column draws a plan for every trial of a block, reproducing the numpy
+# A column holds one field's values for every trial of a block as arrays:
+# ``Numbers`` for a numeric field, ``Strings`` for a string or categorical
+# one.  ``_column`` draws a plan for every trial, reproducing the numpy
 # algorithm behind each of ``draw``'s calls on the block's tape (see rng).
-# It returns the values, the trials it leaves to the scalar path (a rejected
+# It returns the column, the trials it leaves to the scalar path (a rejected
 # draw, a draw past the tape), and the length raises among the others; or
 # None when the plan's parameters have no column form.
 
-Column = tuple[list[DataValue], np.ndarray, Counter]
+
+@dataclass(eq=False)
+class Numbers:
+    """A numeric field's values, each read at ``precision`` fraction digits."""
+
+    values: np.ndarray
+    precision: int
+
+    def box(self, row: int) -> Continuous:
+        return Continuous(float(self.values[row]), self.precision)
+
+    def put(self, row: int, value: Continuous) -> None:
+        self.values[row] = value.value
+
+
+@dataclass(eq=False)
+class Strings:
+    """A string or categorical field's values as code points: row r holds
+    ``codes[r, :lengths[r]]``, and the codes past its length are padding of
+    any value.  ``kind`` is Text or Categorical."""
+
+    codes: np.ndarray
+    lengths: np.ndarray
+    kind: type
+
+    def box(self, row: int) -> DataValue:
+        return self.kind("".join(map(chr, self.codes[row, : self.lengths[row]].tolist())))
+
+    def put(self, row: int, value: DataValue) -> None:
+        codes = text_codes(value.value if isinstance(value, Text) else value.label)  # type: ignore[union-attr]
+        wider = len(codes) - self.codes.shape[1]
+        if wider > 0:
+            self.codes = np.pad(self.codes, ((0, 0), (0, wider)))
+        self.codes[row, : len(codes)] = codes
+        self.lengths[row] = len(codes)
+
+    def equals(self, text: str) -> np.ndarray:
+        """Which rows hold ``text``."""
+        target = text_codes(text)
+        if len(target) > self.codes.shape[1]:
+            return np.zeros(len(self.lengths), dtype=bool)
+        head = self.codes[:, : len(target)] == target
+        return (self.lengths == len(target)) & head.all(axis=1)
+
+
+Column = Union[Numbers, Strings]
 
 #: Integers beyond this do not survive a round trip through float64.
 _EXACT = 2**53
 #: Character positions a string column draws at a time.
 _SLAB = 32
+
+
+def text_codes(text: str) -> np.ndarray:
+    """The code points of ``text``."""
+    return np.array(list(map(ord, text)), dtype=np.uint32)
+
+
+def pack(values: list[DataValue]) -> Column:
+    """The column of ``values``: numbers of one precision, or strings or
+    labels."""
+    first = values[0]
+    if isinstance(first, Continuous):
+        return Numbers(np.array([v.value for v in values]), first.precision)  # type: ignore[union-attr]
+    lengths = np.zeros(len(values), dtype=np.int64)
+    column = Strings(np.zeros((len(values), 0), dtype=np.uint32), lengths, type(first))
+    for row, value in enumerate(values):
+        column.put(row, value)
+    return column
 
 
 def _integer_column(
@@ -690,39 +755,32 @@ def _integer_column(
     return value + lo, rejected
 
 
-def _continuous(values: np.ndarray, precision: int) -> list[DataValue]:
-    """``Continuous(v, precision)`` per value, one object per distinct value."""
-    distinct, which = np.unique(values, return_inverse=True)
-    objects = [Continuous(v, precision) for v in distinct.tolist()]
-    return [objects[i] for i in which.tolist()]
-
-
-def _column(plan: Plan, block: TrialBlock) -> Column | None:
+def _column(plan: Plan, block: TrialBlock) -> tuple[Column, np.ndarray, Counter] | None:
     """``draw(plan, ...)`` per trial of ``block``."""
     n = len(block)
     if isinstance(plan, Constant):
-        return [plan.value] * n, np.zeros(n, bool), Counter()
+        return pack([plan.value] * n), np.zeros(n, bool), Counter()
     if isinstance(plan, Chars):
         return _string_column(block, plan)
     if isinstance(plan, Pick):
         drawn = _integer_column(block, 0, len(plan.labels) - 1)
         if drawn is None:
             return None
-        objects = [Categorical(label) for label in plan.labels]
-        return [objects[i] for i in drawn[0].tolist()], drawn[1], Counter()
+        labels: Strings = pack(list(map(Categorical, plan.labels)))  # type: ignore[assignment]
+        picked = Strings(labels.codes[drawn[0]], labels.lengths[drawn[0]], Categorical)
+        return picked, drawn[1], Counter()
     if isinstance(plan, Grid):
         drawn = _integer_column(block, plan.lo, plan.hi)
         if drawn is None or plan.scale > _EXACT:  # the grid step is no longer exact
             return None
-        values, rejected = drawn[0] / plan.scale, drawn[1]
-    else:
-        values, rejected = uniform(block.words(1)[0], plan.lo, plan.hi), np.zeros(n, bool)
-        if plan.clamp is not None:
-            lo, hi = plan.clamp
-            if not -_EXACT < lo <= hi < _EXACT:
-                return None
-            values = np.clip(np.floor(values + 0.5), lo, hi)
-    return _continuous(values, plan.precision), rejected, Counter()
+        return Numbers(drawn[0] / plan.scale, plan.precision), drawn[1], Counter()
+    values = uniform(block.words(1)[0], plan.lo, plan.hi)
+    if plan.clamp is None:
+        return Numbers(values, plan.precision), np.zeros(n, bool), Counter()
+    lo, hi = plan.clamp
+    if not -_EXACT < lo <= hi < _EXACT:
+        return None
+    return Numbers(np.clip(np.floor(values + 0.5), lo, hi), 0), np.zeros(n, bool), Counter()
 
 
 class _Reader:
@@ -774,11 +832,9 @@ def _swap(table: np.ndarray, picked: np.ndarray, i: int) -> None:
     table[i] = held
 
 
-def _string_column(block: TrialBlock, plan: Chars) -> Column | None:
+def _string_column(block: TrialBlock, plan: Chars) -> tuple[Strings, np.ndarray, Counter] | None:
     """``_draw_chars`` per trial."""
     alphabet, lo, hi, specials = plan
-    if "\0" in alphabet + specials:  # NUL pads the code-point matrix
-        return None
     n, k = len(block), len(specials)
     if hi - lo > _MASK32:
         return None
@@ -795,7 +851,7 @@ def _string_column(block: TrialBlock, plan: Chars) -> Column | None:
     width = min(int(length.max()), len(halves) - drawn_length)
     leftover |= length > width
     in_string = np.arange(width)[:, None] < length
-    alphabet_codes = np.array([ord(c) for c in alphabet], dtype=np.uint32)
+    alphabet_codes = text_codes(alphabet)
     codes = np.empty((width, n), dtype=np.uint32)
     for first in range(0, width, _SLAB):  # bounds the temporaries
         at = slice(first, min(first + _SLAB, width))
@@ -819,49 +875,43 @@ def _string_column(block: TrialBlock, plan: Chars) -> Column | None:
         order = np.repeat(np.arange(k)[:, None], n, axis=1)
         for i in range(k - 1, 0, -1):
             _swap(order, reader.interval(i), i)
-        special_codes = np.array([ord(c) for c in specials], dtype=np.uint32)
-        codes[np.where(leftover, 0, chosen), np.arange(n)] = special_codes[order]
-    codes[~in_string] = 0
-    if width:
-        rows = np.ascontiguousarray(codes.T).view(np.dtype(("U", width)))
-        texts = rows.ravel().tolist()
-    else:
-        texts = [""] * n
+        codes[np.where(leftover, 0, chosen), np.arange(n)] = text_codes(specials)[order]
     raises = Counter({k: int((raised & ~leftover).sum())})
-    return list(map(Text, texts)), leftover, raises
+    return Strings(codes.T, length, Text), leftover, raises
 
 
-def regenerate_block(plan: Plan, block: TrialBlock, length_raises: Counter) -> list[DataValue]:
+def regenerate_block(plan: Plan, block: TrialBlock, length_raises: Counter) -> Column:
     """``draw(plan, g, length_raises)`` on the stream g of each trial of
-    ``block``: the regenerated values of one field, whose plan
-    ``field_plan`` gives.
+    ``block``, as one column: the regenerated values of one field, whose
+    plan ``field_plan`` gives.
 
     When the block has derived states, the values come from its tape as one
-    column of the plan.  The first trial the column covers is compared with
-    the scalar draw on the same state; on any difference (a numpy whose
-    algorithms have changed) every trial takes the scalar draw, and
-    otherwise only the trials the column leaves over do.  The result never
-    depends on the column alone.
+    column of the plan.  The first trial the column covers is boxed and
+    compared with the scalar draw on the same state; on any difference (a
+    numpy whose algorithms have changed) every trial takes the scalar draw,
+    and otherwise only the trials the column leaves over do, written back
+    into it.  The result never depends on the column alone.
     """
     n = len(block)
-    column = None if block.states is None else _column(plan, block)
-    if column is None:
-        return [draw(plan, block.stream(row), length_raises) for row in range(n)]
-    values, leftover, raises = column
+    drawn = None if block.states is None else _column(plan, block)
+    if drawn is None:
+        return pack([draw(plan, block.stream(row), length_raises) for row in range(n)])
+    column, leftover, raises = drawn
     covered = np.flatnonzero(~leftover)
     if covered.size:
         check = int(covered[0])
         check_raises: Counter = Counter()
         reference = draw(plan, block.stream(check), check_raises)
-        if repr(reference) == repr(values[check]):
-            length_raises += raises
-        else:
-            values[check] = reference
+        if repr(reference) != repr(column.box(check)):
             length_raises += check_raises
-            leftover = np.arange(n) != check
+            return pack([
+                reference if row == check else draw(plan, block.stream(row), length_raises)
+                for row in range(n)
+            ])
+    length_raises += raises
     for row in np.flatnonzero(leftover).tolist():
-        values[row] = draw(plan, block.stream(row), length_raises)
-    return values
+        column.put(row, draw(plan, block.stream(row), length_raises))
+    return column
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,26 @@ def test_regenerate_rejects_impossible_special_chars(tmp_path, capsys):
     assert code == 1
     assert "alphabet" in capsys.readouterr().err
 
+
+def test_regenerate_names_the_event_whose_length_it_raises(tmp_path, caplog):
+    # a one-character hint cannot hold three specials: the length is raised
+    record = {
+        "record": "special_chars",
+        "domain": {"kind": "string", "char_class": "[!-~]", "length_min": 1, "length_max": 12},
+        "specials": "!#.",
+        "length_hint": 1,
+    }
+    trace = {"events": [{"action": "launch", "widget": "app"},
+                        {"action": "type", "widget": "note", "record": record}]}
+    path = tmp_path / "anon.json"
+    path.write_text(json.dumps(trace))
+    with caplog.at_level("WARNING"):
+        code = cli.main(["regenerate", "--trace", str(path), "--out", str(tmp_path / "x.json")])
+    assert code == 0
+    assert caplog.messages == [
+        "event 1 (widget 'note'): raising regenerated length to 3 to fit special characters"
+    ]
+
 @pytest.mark.parametrize("argv", [
     ["anonymize", "--trace", "/nonexistent.json", "--config", "/c.json", "--out", "/o"],
     ["report", "--in", "/nonexistent.csv"],

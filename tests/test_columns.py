@@ -105,7 +105,8 @@ def column_values(original, domain, cfg, seed, trials, index, record=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(techniques, "draw", counted)
         for block in rng.blocks(trials):
-            values += regenerate_block(plan, TrialBlock(seed, block, index), raises)
+            column = regenerate_block(plan, TrialBlock(seed, block, index), raises)
+            values += [column.box(row) for row in range(len(block))]
     return values, raises, len(calls)
 
 
@@ -333,4 +334,5 @@ def test_draws_lie_in_the_enumerated_support(original, domain, cfg, index, suppo
     scalar, _ = scalar_values(original, domain, cfg, 7, trials, index)
     column = regenerate_block(
         field_plan(original, domain, cfg), TrialBlock(7, trials, index), Counter())
-    assert {repr(v) for v in scalar + column} <= support
+    boxed = [column.box(row) for row in range(len(trials))]
+    assert {repr(v) for v in scalar + boxed} <= support

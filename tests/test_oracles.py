@@ -7,7 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from anonrepro import corpus
 from anonrepro.errors import (
@@ -39,7 +40,9 @@ from anonrepro.oracles import (
     MatchesClass,
     Not,
     Or,
+    compile_expr,
     evaluate,
+    evaluate_expr,
     exhaustive_probability,
     oracle_from_json,
     oracle_to_json,
@@ -52,6 +55,9 @@ from anonrepro.techniques import (
     NoiseAdditionConfig,
     RoundingConfig,
     SCDLocalSuppressionConfig,
+    Numbers,
+    Strings,
+    pack,
 )
 
 DAY = NumericDomain(1, 31, integer=True)
@@ -524,3 +530,85 @@ def test_special_char_triggers_are_flagged():
         "nononsense_notes", "splitbills", "tasks", "to_dont", "track_graph_1",
         "track_graph_2_text",
     }
+
+
+# ---------------------------------------------------------------------------
+# the compiled predicate reads a block of trials as evaluate_expr reads each
+
+#: Characters of the [\x00-z] alphabet: NUL, digits, separators and letters.
+CHARS = "\x00059.,az"
+LABELS = ("a\x00", "5.5", "ab", "\x00", "b.", "z")
+BLOCK_FIELDS = (
+    ("s", StringDomain("[\x00-z]", 0, 8)),
+    ("c", CategoricalDomain(LABELS)),
+    ("x", NumericDomain(-40, 40, precision=3)),
+    ("day", DAY),
+    ("month", MONTH),
+    ("year", NumericDomain(-400, 2400, integer=True)),
+)
+TEXTS = st.text(st.sampled_from(CHARS), max_size=10)
+STRING_FIELD = st.sampled_from(["s", "c"])
+NUMBERS = st.sampled_from([-3.25, 0.0, 1.5, 2.0, 29.0])
+LEAVES = st.one_of(
+    st.builds(Equals, STRING_FIELD, TEXTS),
+    st.builds(Equals, st.just("x"), NUMBERS),
+    st.builds(lambda ends: InRange("x", *sorted(ends)), st.tuples(NUMBERS, NUMBERS)),
+    st.builds(Contains, STRING_FIELD, TEXTS),
+    st.builds(MatchesClass, STRING_FIELD,
+              st.sampled_from(["[\x00-z]", "[a-b]", "[0-9.]", "[\x00a]"])),
+    st.builds(EndsWith, STRING_FIELD, TEXTS.filter(bool)),
+    st.builds(CharAt, STRING_FIELD, st.integers(-12, 12), st.sampled_from(CHARS)),
+    st.just(IsLeapDay("day", "month", "year")),
+    st.builds(DecimalSeparatorIs, st.sampled_from(["s", "x"]), st.sampled_from(".,5\x00")),
+    st.builds(LengthGt, STRING_FIELD, st.integers(-1, 10)),
+)
+EXPRS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.builds(And, st.lists(inner, min_size=1, max_size=3)),
+    st.builds(Or, st.lists(inner, min_size=1, max_size=3)),
+    st.builds(Not, inner),
+), max_leaves=8)
+ROWS = st.lists(st.tuples(
+    TEXTS.map(lambda t: t[:8]), st.sampled_from(LABELS), NUMBERS,
+    st.sampled_from([28.0, 29.0, 30.0]), st.sampled_from([1.0, 2.0, 3.0]),
+    st.sampled_from([-4.0, 0.0, 1900.0, 2000.0, 2004.0, 2023.0]),
+), min_size=1, max_size=12)
+
+
+def padded(column, extra, fill):
+    """``column`` with ``extra`` more places, every place past a row's value
+    holding ``fill``: padding must not be read as part of a value."""
+    codes = np.pad(column.codes, ((0, 0), (0, extra)))
+    codes[np.arange(codes.shape[1]) >= column.lengths[:, None]] = fill
+    return Strings(codes, column.lengths, column.kind)
+
+
+EXAMPLE_ROWS = [("a\x00", "a\x00", 0.0, 29.0, 2.0, 2000.0), ("\x00a", "ab", 1.5, 28.0, 1.0, 0.0),
+                ("", "\x00", 2.0, 29.0, 2.0, 1900.0), ("55", "5.5", 0.0, 1.0, 1.0, 1.0)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(expr=st.one_of(LEAVES, EXPRS), rows=ROWS, precision=st.integers(0, 3),
+       extra=st.integers(0, 3), fill=st.sampled_from(CHARS))
+@example(expr=Or((EndsWith("s", "\x00"), Contains("c", "\x00"), Equals("s", "a\x00"),
+                  DecimalSeparatorIs("s", "5"))),
+         rows=EXAMPLE_ROWS, precision=1, extra=0, fill="\x00")
+@example(expr=Or((CharAt("s", -1, "a"), CharAt("c", -2, "\x00"))), rows=EXAMPLE_ROWS,
+         precision=0, extra=1, fill="a")
+@example(expr=DecimalSeparatorIs("x", "."), rows=EXAMPLE_ROWS, precision=0, extra=0, fill="a")
+@example(expr=DecimalSeparatorIs("x", "."), rows=EXAMPLE_ROWS, precision=2, extra=0, fill="a")
+def test_compiled_predicate_agrees_with_evaluate_expr(expr, rows, precision, extra, fill):
+    BugOracle(name="block", fields=BLOCK_FIELDS, predicate=expr)  # a well-typed predicate
+    s, c, x, day, month, year = zip(*rows)
+    columns = {
+        "s": padded(pack(list(map(Text, s))), extra, ord(fill)),
+        "c": padded(pack(list(map(Categorical, c))), extra, ord(fill)),
+        "x": Numbers(np.array(x), precision),
+        **{name: Numbers(np.array(v), 0)
+           for name, v in (("day", day), ("month", month), ("year", year))},
+    }
+    got = compile_expr(expr)(columns)
+    expected = [
+        evaluate_expr(expr, {name: column.box(row) for name, column in columns.items()})
+        for row in range(len(rows))
+    ]
+    assert got.dtype == bool and got.tolist() == expected

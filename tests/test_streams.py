@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anonrepro.cli as cli
-from anonrepro import corpus, harness, rng
+from anonrepro import corpus, harness, rng, techniques
 from anonrepro.harness import resolve_configs, run_trials
 from anonrepro.errors import UnsupportedTechniqueError
 from anonrepro.model import (
@@ -22,14 +22,16 @@ from anonrepro.model import (
     TupleValue,
     values_equal,
 )
-from anonrepro.oracles import BugOracle, InRange, LengthGt, evaluate
+from anonrepro.oracles import BugOracle, EndsWith, InRange, LengthGt, Or, evaluate
 from anonrepro.rng import TrialBlock, substream
 from anonrepro.techniques import (
     GlobalRecodingConfig,
     LocalSuppressionConfig,
     NoiseAdditionConfig,
     RoundingConfig,
+    SCDLocalSuppressionConfig,
     anonymize,
+    field_plan,
     regenerate,
 )
 
@@ -161,6 +163,31 @@ def test_tuple_fields_take_substream(monkeypatch, cfg, fields, tuple_index):
     assert (report.successes, report.disclosures) == reference_counts(
         oracle, DATED_ORIGINAL, cfg, 200, 9)
     assert calls == [(9, trial, tuple_index) for trial in range(200)]
+
+
+NUL_STRINGS = StringDomain("[\x00-\x02]", 0, 3)
+WIDE = NumericDomain(0, 2**60, integer=True)
+
+
+@pytest.mark.parametrize("text_cfg", [LocalSuppressionConfig(), SCDLocalSuppressionConfig()],
+                         ids=["suppressed", "scd"])
+@pytest.mark.parametrize("wide_cfg", [LocalSuppressionConfig(), NoiseAdditionConfig(1e-18)],
+                         ids=["suppressed", "noise"])
+def test_scalar_drawn_rows_count_as_the_per_trial_loop(monkeypatch, text_cfg, wide_cfg):
+    # a column over a NUL alphabet (NUL ends the original, and is a special
+    # character), a field with no column form (a range of 2**60, or noise
+    # clamped beyond 2**53) and a tuple field, in one run
+    oracle = BugOracle(name="mixed", fields=(("s", NUL_STRINGS), ("wide", WIDE), ("date", DATE)),
+                       predicate=Or((EndsWith("s", "\x00"), InRange("wide", 0, 5))))
+    original = {"s": Text("\x01\x00"), "wide": Continuous(5), "date": DATED_ORIGINAL["date"]}
+    config = {"s": text_cfg, "wide": wide_cfg, "date": NoiseAdditionConfig(0.01)}
+    block = TrialBlock(9, range(0, 64), 1)
+    assert techniques._column(field_plan(original["wide"], WIDE, wide_cfg), block) is None
+    monkeypatch.setattr(rng, "BLOCK", 256)
+    report = run_trials(oracle, original, config, trials=700, seed=9)
+    counts = (report.successes, report.disclosures)
+    assert counts == reference_counts(oracle, original, config, 700, 9)
+    assert counts[0] > 0 and (counts[1] > 0) == isinstance(wide_cfg, NoiseAdditionConfig)
 
 
 def test_first_failing_field_is_reported_first():

@@ -1,10 +1,11 @@
 """Domains, values, conformance and the trace JSON codec."""
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from anonrepro.errors import (
     DomainError,
@@ -30,6 +31,7 @@ from anonrepro.model import (
     format_number,
     literal_precision,
     parse_trace,
+    rendering_interval,
     serialize_trace,
     value_from_json,
     value_to_json,
@@ -200,6 +202,31 @@ def test_conforms_tuple():
 
 # ---------------------------------------------------------------------------
 # user-visible equality
+
+
+def near_zero(precision):
+    """Values within one float of 0 and of the grid's half step around 0."""
+    half = 0.5 * 10.0**-precision
+    edges = [half, math.nextafter(half, 0), math.nextafter(half, 1), 5e-324, 0.0]
+    return st.sampled_from(edges).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(precision=st.integers(min_value=0, max_value=18), data=st.data())
+def test_rendering_interval_is_where_the_rendering_agrees(precision, data):
+    x = data.draw(st.one_of(
+        near_zero(precision),
+        st.sampled_from([2.0**53, 2.0**53 - 1, 2.0**53 + 2, 4.6, 0.125, 29.0]).flatmap(
+            lambda x: st.sampled_from([x, -x])),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    rendered = format_number(x, precision)
+    lo, hi = rendering_interval(x, precision)
+    assert lo <= x <= hi
+    assert format_number(lo, precision) == rendered == format_number(hi, precision)
+    # past either end the rendering differs ("-inf" and "inf" past the finite floats)
+    assert format_number(math.nextafter(lo, -math.inf), precision) != rendered
+    assert format_number(math.nextafter(hi, math.inf), precision) != rendered
 
 
 def test_values_equal_uses_reference_precision():
