@@ -6,14 +6,14 @@ bug oracle whether the regenerated assignment still triggers the failure.
 Every trial draws from its own random substream keyed by (seed, trial,
 field index), so results do not depend on execution order and a parallel
 run reproduces a serial one bit for bit.  The trials are regenerated a
-block at a time, one typed column per field drawn from the field's draw
-plan (``techniques.field_plan``) on the streams' word tape
-(``rng.TrialBlock``, ``techniques.regenerate_block``), and each block is
-scored as arrays: a predicate compiled once per run
+block at a time, one typed column per field (per component of a tuple)
+drawn from the field's draw plan (``techniques.field_plan``) on the
+streams' word tape (``rng.TrialBlock``, ``techniques.regenerate_block``),
+and each block is scored as arrays: a predicate compiled once per run
 (``oracles.compile_expr``) and a disclosure test per field (a number's
 ``model.rendering_interval``, a string's code points).  The counts are
-those of the per-trial loop.  SCD length raises are counted and logged once
-per run.
+those of the per-trial loop.  SCD length raises are counted and logged
+once per run.
 
 ``run_trials(workers=N)`` splits a run's trials into chunks over one
 process pool shared by every call in the process.  The pool is started on
@@ -38,7 +38,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -46,7 +45,7 @@ from scipy.stats import binom
 
 from .corpus import CorpusEntry
 from .errors import ConfigError, InvalidBaselineError
-from .model import Continuous, DataValue, Text, rendering_interval, values_equal
+from .model import Continuous, DataValue, Text, TupleValue, rendering_interval
 from .oracles import (
     BugOracle,
     compile_expr,
@@ -54,19 +53,15 @@ from .oracles import (
     exhaustive_probability,
     technique_distribution,
 )
-from .rng import TrialBlock, blocks, substream
+from .rng import TrialBlock, blocks
 from .techniques import (
-    Column,
     GlobalRecodingConfig,
     LocalSuppressionConfig,
     NoiseAdditionConfig,
-    Plan,
     RoundingConfig,
     SCDLocalSuppressionConfig,
     TechniqueConfig,
-    anonymize_conforming,
     field_plan,
-    regenerate,
     regenerate_block,
     technique_name,
 )
@@ -192,10 +187,13 @@ def _describe(
     return "+".join(names), "+".join(labels), summary
 
 
-def _disclosure(original: DataValue) -> Callable[[Column], np.ndarray]:
+def _disclosure(original: DataValue) -> Callable[..., np.ndarray]:
     """Which rows of a field's column read back as ``original``, as
-    ``values_equal`` tells: a number's rendering interval, or a string's or
-    label's code points."""
+    ``values_equal`` tells: a number's rendering interval, a string's or
+    label's code points, or a tuple's components all at once."""
+    if isinstance(original, TupleValue):
+        tests = tuple(map(_disclosure, original.components))
+        return lambda columns: np.logical_and.reduce([t(c) for t, c in zip(tests, columns)])
     if isinstance(original, Continuous):
         lo, hi = rendering_interval(original.value, original.precision)
         return lambda column: (lo <= column.values) & (column.values <= hi)  # type: ignore[union-attr]
@@ -214,16 +212,15 @@ def _run_chunk(
     """Successes, disclosures and length raises over trials [start, stop).
 
     Each trial draws exactly what ``substream(seed, trial, index)`` gives
-    it.  The trials are taken a block at a time (``rng.blocks``): each field
-    is regenerated for the whole block as one column of its draw plan
-    (``techniques.field_plan``, built once, in field order during the first
-    block, so the first failing field raises first).  The block is then
-    scored as arrays: the predicate, compiled once (``oracles.compile_expr``),
-    maps the columns to the trials that trigger it, and each field's
-    disclosure test to the trials that read back its original.  A tuple
-    field has no plan and takes ``substream`` itself, one trial at a time,
-    because ``Generator.spawn`` needs the stream's own ``SeedSequence``; no
-    predicate reads it, and ``values_equal`` tests its disclosure per trial.
+    it.  Each field's draw plan (``techniques.field_plan``) and disclosure
+    test are built once, in field order, before the first block, so the
+    first failing field raises first.  The trials are then taken a block at
+    a time (``rng.blocks``): each field is regenerated for the whole block
+    as one column of its plan, or a tuple field as one column per component.
+    The block is scored as arrays: the predicate, compiled once
+    (``oracles.compile_expr``), maps the columns to the trials that trigger
+    it, and the fields' disclosure tests, ANDed, to the trials that read
+    back every original.
 
     Length raises are counted per (field, specials' count) instead of being
     logged per trial.  The originals are checked by ``run_trials`` and every
@@ -232,32 +229,17 @@ def _run_chunk(
     """
     names = oracle.field_names
     triggers = compile_expr(oracle.predicate)
-    plans: list[Plan | None] = []
-    disclosed_in: list[Callable[[Column], np.ndarray] | None] = []
+    plans = [field_plan(original, domain, cfg)
+             for (_, domain), original, cfg in zip(oracle.fields, originals, per_field)]
+    # every field reads back its original: the disclosure test of a tuple
+    disclosed = _disclosure(TupleValue(originals))
     raises = [Counter() for _ in originals]
-    successes = 0
-    disclosures = 0
+    successes = disclosures = 0
     for block in blocks(range(start, stop)):
-        columns = {}
-        disclosed = np.ones(len(block), dtype=bool)
-        for index, ((name, domain), original, cfg) in enumerate(
-            zip(oracle.fields, originals, per_field)
-        ):
-            if index == len(plans):
-                plans.append(field_plan(original, domain, cfg))
-                disclosed_in.append(None if plans[index] is None else _disclosure(original))
-            if plans[index] is None:
-                disclosed &= [
-                    values_equal(original, regenerate(
-                        anonymize_conforming(original, domain, cfg, rng), rng, raises[index]))
-                    for rng in map(substream, repeat(seed), block, repeat(index))
-                ]
-            else:
-                columns[name] = regenerate_block(
-                    plans[index], TrialBlock(seed, block, index), raises[index])
-                disclosed &= disclosed_in[index](columns[name])  # type: ignore[misc]
-        successes += int(np.count_nonzero(triggers(columns)))
-        disclosures += int(np.count_nonzero(disclosed))
+        columns = [regenerate_block(plan, TrialBlock(seed, block, index), counts)
+                   for index, (plan, counts) in enumerate(zip(plans, raises))]
+        successes += int(np.count_nonzero(triggers(dict(zip(names, columns)))))
+        disclosures += int(np.count_nonzero(disclosed(columns)))
     length_raises = Counter({
         (name, needed): count
         for name, counts in zip(names, raises)

@@ -9,7 +9,8 @@ same numbers whether it runs first, last, or on another worker.
 The Monte-Carlo harness needs one stream per (trial, field), and building a
 ``SeedSequence`` and a fresh generator for each costs more than most trials
 spend drawing.  A ``TrialBlock`` therefore derives the same states for one
-field a block of trials at a time: it repeats ``SeedSequence``'s hash and
+field a block of trials at a time, or those of their spawned children that
+a tuple's components draw from: it repeats ``SeedSequence``'s hash and
 PCG64's seeding as numpy array operations over the block, the 128-bit
 arithmetic on pairs of uint64 limbs (O'Neill, "PCG: A Family of Simple Fast
 Space-Efficient Statistically Good Algorithms for Random Number
@@ -31,6 +32,7 @@ scalar draw.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterator
 
 import numpy as np
@@ -125,8 +127,9 @@ def _add128(a: Limbs, b: Limbs) -> Limbs:
     return a[0] + b[0] + (lo < b[1]).astype(np.uint64), lo
 
 
-def _block_states(seed: int, trials: range, index: int) -> np.ndarray:
-    """PCG64 (state, inc) of ``substream(seed, t, index)`` for each t in ``trials``.
+def _block_states(seed: int, trials: range, index: int, part: int | None = None) -> np.ndarray:
+    """PCG64 (state, inc) of ``substream(seed, t, index)``, or of its spawned
+    child ``part``, for each t in ``trials``.
 
     Shape (trials, 2, 2), uint64: per trial the state, then the increment,
     each as (high, low) limbs.  Every trial of the block must have the same
@@ -145,6 +148,8 @@ def _block_states(seed: int, trials: range, index: int) -> np.ndarray:
         ],
         *map(column, _words(index)),
     ]
+    if part is not None:  # SeedSequence.spawn: zero-pad to the pool, then the child
+        entropy += [column(0)] * (_POOL_SIZE - len(entropy)) + [*map(column, _words(part))]
 
     # SeedSequence.mix_entropy
     hashmix = _hasher(_INIT_A, _MULT_A)
@@ -201,26 +206,33 @@ def blocks(trials: range) -> Iterator[range]:
 
 
 class TrialBlock:
-    """The streams of ``substream(master_seed, t, index)`` for t in ``trials``.
+    """The streams of ``substream(master_seed, t, index)`` for t in ``trials``,
+    or with ``part`` j their j-th spawned children, which ``split`` gives a
+    tuple's component j.
 
-    ``states`` holds every trial's derived PCG64 state once the first trial's
-    has been checked against ``substream``.  It is None when the block cannot
-    be derived or the check fails; every stream is then ``substream``'s own
-    and the block has no tape.
+    ``states``, derived when first read, holds every trial's PCG64 state once
+    the first trial's has been checked against ``substream``.  It is None
+    when the block cannot be derived or the check fails; every stream is
+    then ``substream``'s own and the block has no tape.
     """
 
-    def __init__(self, master_seed: int, trials: range, index: int) -> None:
-        self.master_seed = master_seed
-        self.trials = trials
-        self.index = index
-        self.states: np.ndarray | None = None
+    def __init__(self, master_seed: int, trials: range, index: int, part: int | None = None):
+        self.master_seed, self.trials, self.index, self.part = master_seed, trials, index, part
         self._generator: np.random.Generator | None = None
-        if _derivable(trials, index):
-            # asarray also takes the states as nested (state, inc) pairs
-            states = np.asarray(_block_states(master_seed, trials, index), dtype=np.uint64)
-            reference = substream(master_seed, trials[0], index)
-            if reference.bit_generator.state == _pcg64_state(states[0]):
-                self.states = states
+
+    @functools.cached_property
+    def states(self) -> np.ndarray | None:
+        if not _derivable(self.trials, self.index):
+            return None
+        # asarray also takes the states as nested (state, inc) pairs
+        states = np.asarray(_block_states(self.master_seed, self.trials, self.index, self.part),
+                            dtype=np.uint64)
+        reference = self._substream(self.trials[0]).bit_generator.state
+        return states if reference == _pcg64_state(states[0]) else None
+
+    def _substream(self, trial: int) -> np.random.Generator:
+        stream = substream(self.master_seed, trial, self.index)
+        return stream if self.part is None else stream.spawn(self.part + 1)[-1]
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -234,7 +246,7 @@ class TrialBlock:
         used on it.
         """
         if self.states is None:
-            return substream(self.master_seed, self.trials[row], self.index)
+            return self._substream(self.trials[row])
         if self._generator is None:
             self._generator = np.random.Generator(np.random.PCG64(0))
         self._generator.bit_generator.state = _pcg64_state(self.states[row])

@@ -34,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Any, NamedTuple, Union
 
 import numpy as np
@@ -245,6 +246,7 @@ class TupleRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
+        record_domain(self)  # rejects what TupleDomain rejects: no components, nesting
 
 
 AnonymizedRecord = Union[
@@ -264,7 +266,7 @@ def record_domain(record: AnonymizedRecord) -> DomainSpec:
 #
 # ``draw_plan`` and ``noise_plan`` state once which parameters a value is
 # drawn from, and ``field_plan`` which of them a field takes under its
-# config; ``draw`` (one value), ``_column`` (a block of trials) and
+# config; ``draw`` (one value), ``regenerate_block`` (a block of trials) and
 # ``oracles.technique_distribution`` (exact enumeration) read them.
 
 
@@ -313,7 +315,13 @@ class Chars(NamedTuple):
     specials: str
 
 
-Plan = Union[Constant, Grid, Span, Pick, Chars]
+class Parts(NamedTuple):
+    """A tuple: component j draws from ``plans[j]`` on the j-th ``split`` stream."""
+
+    plans: tuple["Plan", ...]
+
+
+Plan = Union[Constant, Grid, Span, Pick, Chars, Parts]
 
 
 def _grid_ceil(x: float, scale: int) -> int:
@@ -371,8 +379,9 @@ def _chars_plan(domain: StringDomain, length_hint: int | None, specials: str) ->
 
 
 def draw_plan(record: AnonymizedRecord) -> Plan:
-    """What ``regenerate`` draws ``record``'s value from.  Tuple-valued
-    records have no plan: their components draw from split streams."""
+    """What ``regenerate`` draws ``record``'s value from; a tuple's is ``Parts``."""
+    if isinstance(record, TupleRecord):
+        return Parts(tuple(map(draw_plan, record.components)))
     if isinstance(record, Concrete):
         return Constant(record.value)
     if isinstance(record, IntervalGroup):
@@ -389,6 +398,8 @@ def draw_plan(record: AnonymizedRecord) -> Plan:
             return Pick(domain.categories)
         if isinstance(domain, StringDomain):
             return _chars_plan(domain, record.length_hint, "")
+        if isinstance(domain, TupleDomain):
+            return Parts(tuple(draw_plan(Suppressed(d)) for d in domain.components))
     raise ConfigError(f"unknown anonymized record {record!r}")
 
 
@@ -415,9 +426,7 @@ def _draw_chars(plan: Chars, rng: np.random.Generator, length_raises: Counter | 
     return Text("".join(chars))
 
 
-def draw(
-    plan: Plan, rng: np.random.Generator, length_raises: Counter | None = None
-) -> DataValue:
+def draw(plan: Plan, rng: np.random.Generator, length_raises: Counter | None = None) -> DataValue:
     """One value drawn from ``plan``; see ``regenerate`` for ``length_raises``."""
     if isinstance(plan, Grid):
         return Continuous(int(rng.integers(plan.lo, plan.hi + 1)) / plan.scale, plan.precision)
@@ -431,6 +440,9 @@ def draw(
         return Categorical(plan.labels[int(rng.integers(len(plan.labels)))])
     if isinstance(plan, Chars):
         return _draw_chars(plan, rng, length_raises)
+    if isinstance(plan, Parts):
+        streams = split(rng, len(plan.plans))
+        return TupleValue(tuple(map(draw, plan.plans, streams, repeat(length_raises))))
     return plan.value
 
 
@@ -553,7 +565,10 @@ def noise_plan(value: DataValue, domain: DomainSpec, noise: float) -> Plan:
     """What noise addition draws ``value``'s replacement from: the grid
     points of its noise interval (or a raw draw when there are none), and
     for integer domains a raw draw rounded half-up and clamped into the
-    domain.  Cached, because a run adds noise to the same value each trial."""
+    domain; a tuple's is its components' ``Parts``.  Cached, because a run
+    adds noise to the same value each trial."""
+    if isinstance(domain, TupleDomain):
+        return Parts(tuple(map(noise_plan, value.components, domain.components, repeat(noise))))
     if not isinstance(domain, NumericDomain):
         raise UnsupportedTechniqueError("noise addition applies to numeric values only")
     lo, hi = noise_interval(value.value, domain, noise)  # type: ignore[union-attr]
@@ -626,40 +641,24 @@ def anonymize_conforming(
     raise ConfigError(f"unknown technique configuration {cfg!r}")
 
 
-def field_plan(value: DataValue, domain: DomainSpec, cfg: TechniqueConfig) -> Plan | None:
+def field_plan(value: DataValue, domain: DomainSpec, cfg: TechniqueConfig) -> Plan:
     """What anonymizing ``value`` under ``cfg`` and regenerating draws from:
     ``noise_plan`` for noise addition, which draws while anonymizing, and the
-    record's ``draw_plan`` for every other technique.  A tuple field has no
-    plan: its components draw from streams split off ``substream``'s own.
+    record's ``draw_plan`` for every other technique; a tuple's is ``Parts``.
     ``value`` must conform to ``domain``."""
-    if isinstance(domain, TupleDomain):
-        return None
     if isinstance(cfg, NoiseAdditionConfig):
         return noise_plan(value, domain, cfg.noise)
     return draw_plan(anonymize_conforming(value, domain, cfg))
 
 
-def regenerate(
-    record: AnonymizedRecord,
-    rng: np.random.Generator,
-    length_raises: Counter | None = None,
-) -> DataValue:
+def regenerate(record: AnonymizedRecord, rng: np.random.Generator,
+               length_raises: Counter | None = None) -> DataValue:
     """Draw a concrete value for ``record``; Concrete records are identity.
 
     A special-character record whose drawn length cannot hold its specials
     is regenerated at the specials' count.  That is logged as a warning, or,
     when ``length_raises`` is given, counted there under the specials' count.
     """
-    if isinstance(record, Suppressed) and isinstance(record.domain, TupleDomain):
-        record = TupleRecord(tuple(map(Suppressed, record.domain.components)))
-    if isinstance(record, TupleRecord):
-        streams = split(rng, len(record.components))
-        return TupleValue(
-            tuple(
-                regenerate(r, g, length_raises)
-                for r, g in zip(record.components, streams)
-            )
-        )
     return draw(draw_plan(record), rng, length_raises)
 
 
@@ -880,10 +879,12 @@ def _string_column(block: TrialBlock, plan: Chars) -> tuple[Strings, np.ndarray,
     return Strings(codes.T, length, Text), leftover, raises
 
 
-def regenerate_block(plan: Plan, block: TrialBlock, length_raises: Counter) -> Column:
+def regenerate_block(plan: Plan, block: TrialBlock,
+                     length_raises: Counter) -> Column | tuple[Column, ...]:
     """``draw(plan, g, length_raises)`` on the stream g of each trial of
     ``block``, as one column: the regenerated values of one field, whose
-    plan ``field_plan`` gives.
+    plan ``field_plan`` gives.  A ``Parts`` plan gives one column per
+    component j, drawn on the block of the streams' j-th children.
 
     When the block has derived states, the values come from its tape as one
     column of the plan.  The first trial the column covers is boxed and
@@ -892,6 +893,10 @@ def regenerate_block(plan: Plan, block: TrialBlock, length_raises: Counter) -> C
     and otherwise only the trials the column leaves over do, written back
     into it.  The result never depends on the column alone.
     """
+    if isinstance(plan, Parts):
+        seed, trials, index = block.master_seed, block.trials, block.index
+        return tuple(regenerate_block(p, TrialBlock(seed, trials, index, j), length_raises)
+                     for j, p in enumerate(plan.plans))
     n = len(block)
     drawn = None if block.states is None else _column(plan, block)
     if drawn is None:

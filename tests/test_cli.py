@@ -167,6 +167,26 @@ def test_regenerate_rejects_an_interval_holding_no_value(tmp_path, capsys):
 
 
 
+DAY_RECORD = {"record": "suppressed",
+              "domain": {"kind": "numeric", "min": 1, "max": 31, "integer": True}}
+
+
+@pytest.mark.parametrize("record", [
+    {"record": "tuple", "components": []},
+    {"record": "tuple", "components": [{"record": "tuple", "components": [DAY_RECORD]}]},
+], ids=["empty", "nested"])
+def test_regenerate_names_the_event_of_a_bad_tuple_record(tmp_path, capsys, record):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"events": [{"action": "pick", "widget": "date",
+                                            "record": record}]}))
+    code = cli.main([
+        "regenerate", "--trace", str(path), "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{path}: event 0: tuple domain" in err, err
+
+
 def test_regenerate_rejects_impossible_special_chars(tmp_path, capsys):
     bad = {
         "events": [{

@@ -34,11 +34,13 @@ from anonrepro.techniques import (
     LengthPolicy,
     LocalSuppressionConfig,
     NoiseAdditionConfig,
+    Parts,
     RoundingConfig,
     SCDLocalSuppressionConfig,
     Span,
     SpecialChars,
     Suppressed,
+    TupleRecord,
     anonymize,
     draw_plan,
     field_plan,
@@ -255,13 +257,82 @@ def test_open_grid_end_excludes_a_point_equal_to_the_max():
 DATE = TupleDomain((DAYS, NumericDomain(1, 12, integer=True)))
 
 
-@pytest.mark.parametrize("cfg", [
-    LocalSuppressionConfig(), GlobalRecodingConfig(2), NoiseAdditionConfig(0.5),
-], ids=["suppressed", "recoded", "noise"])
-def test_tuple_fields_have_no_column(cfg):
-    # a tuple's components draw from streams split off substream's own, which a
-    # block's reused generator cannot give
-    assert field_plan(TupleValue((Continuous(17), Continuous(3))), DATE, cfg) is None
+DATED = (TupleValue((Continuous(17), Continuous(3))), DATE)
+TAGGED = (TupleValue((Text("a.b!"), Text("x.y"))),
+          TupleDomain((StringDomain("[!-~]", 1, 4), StringDomain("[a-z.]", 0, 6))))
+TUPLE_FIELDS = [
+    pytest.param(LocalSuppressionConfig(), *DATED, id="suppressed"),
+    pytest.param(GlobalRecodingConfig(2), *DATED, id="recoded"),
+    pytest.param(NoiseAdditionConfig(0.5), *DATED, id="noise"),
+    pytest.param(RoundingConfig(4), *DATED, id="rounding"),
+    pytest.param(SCD, *TAGGED, id="scd"),
+]
+
+
+@pytest.mark.parametrize("cfg, value, domain", TUPLE_FIELDS)
+def test_tuple_fields_have_parts_plans(cfg, value, domain):
+    # component j draws from its own plan on the j-th stream split off
+    # substream's, and so does its column, on the block of those streams
+    plan = field_plan(value, domain, cfg)
+    assert plan == Parts(tuple(map(field_plan, value.components, domain.components,
+                                   [cfg] * len(domain.components))))
+    trials = range(100, 400)
+    raises = Counter()
+    columns = regenerate_block(plan, TrialBlock(7, trials, 2), raises)
+    got = [TupleValue(tuple(c.box(row) for c in columns)) for row in range(len(trials))]
+    expected, expected_raises = scalar_values(value, domain, cfg, 7, trials, 2)
+    assert list(map(repr, got)) == list(map(repr, expected))
+    assert raises == expected_raises
+
+
+@pytest.mark.parametrize("cfg, value, domain", TUPLE_FIELDS)
+def test_tuple_fields_are_not_enumerated(cfg, value, domain):
+    with pytest.raises(EnumerationInfeasibleError):
+        technique_distribution(cfg, value, domain)
+
+
+SHORT = StringDomain("[!-~]", 0, 3)
+# What ``regenerate`` gave each tuple record on substream(2024, trial, 3),
+# trials 0 and 1, before tuple records drew from ``Parts`` plans.
+PINNED_TUPLES = [
+    pytest.param(
+        TupleRecord((Suppressed(DAYS), Suppressed(REAL), Suppressed(AGES), Suppressed(WORDS),
+                     Suppressed(WORDS, 5))),
+        [(Continuous(16), Continuous(7.39, 2), Categorical("teen"), Text("uen"), Text("ycgle")),
+         (Continuous(28), Continuous(9.74, 2), Categorical("teen"), Text("tcwxw"),
+          Text("wszfd"))],
+        {}, id="suppressed"),
+    pytest.param(
+        Suppressed(TupleDomain((DAYS, REAL, AGES, WORDS))),
+        [(Continuous(16), Continuous(7.39, 2), Categorical("teen"), Text("uen")),
+         (Continuous(28), Continuous(9.74, 2), Categorical("teen"), Text("tcwxw"))],
+        {}, id="suppressed-tuple-domain"),
+    pytest.param(
+        TupleRecord((SpecialChars(PRINTABLE, "!.-"), SpecialChars(PRINTABLE, "!!", 4),
+                     SpecialChars(SHORT, "!.-:"))),
+        [(Text("N-!mRBf.B7(Cc"), Text("f!!`"), Text("!:.-")),
+         (Text("tYJ=><HkFh!3~.o2-t`WwEJ"), Text("|C!!"), Text(".!:-"))],
+        {4: 2}, id="special-chars"),
+    pytest.param(
+        TupleRecord((IntervalGroup(DAYS, 1, 11, False), IntervalGroup(REAL, 2.5, 5, False),
+                     IntervalGroup(REAL, 5, 5.004, True), CategoryGroup(AGES, "old"))),
+        [(Continuous(5), Continuous(4.34, 2), Continuous(5, 2), Categorical("adult")),
+         (Continuous(9), Continuous(4.93, 2), Continuous(5, 2), Categorical("adult"))],
+        {}, id="grouped"),
+    pytest.param(
+        TupleRecord((Concrete(DAYS, Continuous(17)), Concrete(AGES, Categorical("teen")),
+                     Concrete(WORDS, Text("abc")))),
+        [(Continuous(17), Categorical("teen"), Text("abc"))] * 2,
+        {}, id="concrete"),
+]
+
+
+@pytest.mark.parametrize("record, values, raises", PINNED_TUPLES)
+def test_tuple_regeneration_is_pinned(record, values, raises):
+    got_raises = Counter()
+    got = [regenerate(record, substream(2024, trial, 3), got_raises) for trial in (0, 1)]
+    assert list(map(repr, got)) == [repr(TupleValue(v)) for v in values]
+    assert got_raises == raises
 
 
 def test_strings_longer_than_the_tape_take_the_scalar_path():

@@ -3,6 +3,8 @@ harness's trial plan counts exactly what a plain per-trial loop counts."""
 from __future__ import annotations
 
 import json
+import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from anonrepro.oracles import BugOracle, EndsWith, InRange, LengthGt, Or, evalua
 from anonrepro.rng import TrialBlock, substream
 from anonrepro.techniques import (
     GlobalRecodingConfig,
+    LengthPolicy,
     LocalSuppressionConfig,
     NoiseAdditionConfig,
     RoundingConfig,
@@ -44,15 +47,18 @@ STARTS = st.one_of(
     st.sampled_from([2**32 - 5, 2**32, 2**64 - 3]),
 )
 INDEXES = st.one_of(st.integers(min_value=0, max_value=40), st.sampled_from([2**32, 2**33 + 1]))
+PARTS = st.integers(min_value=0, max_value=3)
 
 
-def assert_same_streams(seed, trials, index):
+def assert_same_streams(seed, trials, index, part=None):
     count = 0
     for block in rng.blocks(trials):
-        streams = TrialBlock(seed, block, index)
+        streams = TrialBlock(seed, block, index, part)
         for row, trial in enumerate(block):
             generator = streams.stream(row)
             reference = substream(seed, trial, index)
+            if part is not None:
+                reference = reference.spawn(part + 1)[part]
             assert generator.bit_generator.state == reference.bit_generator.state, trial
             assert np.array_equal(generator.integers(0, 2**63, size=3),
                                   reference.integers(0, 2**63, size=3))
@@ -68,6 +74,15 @@ def test_block_streams_equal_substream(seed, start, length, index):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "BLOCK", 8)  # short blocks: most ranges cross a boundary
         assert_same_streams(seed, range(start, start + length), index)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, start=STARTS, length=st.integers(min_value=0, max_value=30),
+       index=INDEXES, part=PARTS)
+def test_part_block_streams_equal_spawned_children(seed, start, length, index, part):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "BLOCK", 8)
+        assert_same_streams(seed, range(start, start + length), index, part)
 
 
 def test_block_streams_cross_a_full_block():
@@ -100,6 +115,23 @@ def test_mismatched_derivation_falls_back_to_substream(monkeypatch):
     # one self-check per block, then every trial of the block, for each field
     blocks = -(-300 // 64)
     assert len(calls) == len(entry.oracle.fields) * (300 + blocks)
+
+
+def test_mismatched_part_derivation_falls_back_to_spawned_children(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substream(*args)
+
+    monkeypatch.setattr(rng, "BLOCK", 64)
+    monkeypatch.setattr(rng, "_block_states", corrupt(rng._block_states))
+    monkeypatch.setattr(rng, "substream", counted)
+    assert TrialBlock(11, range(5, 69), 1, 2).states is None
+    calls.clear()
+    assert_same_streams(11, range(5, 200), 1, part=2)
+    # one self-check per block, then every trial of the block
+    assert len(calls) == 195 + -(-195 // 64)
 
 
 def reference_counts(oracle, original, config, trials, seed):
@@ -151,18 +183,54 @@ DATED_ORIGINAL = {"x": Continuous(4), "date": TupleValue((Continuous(29), Contin
     GlobalRecodingConfig(3), RoundingConfig(2), LocalSuppressionConfig(), NoiseAdditionConfig(0.4),
 ], ids=lambda c: type(c).__name__)
 def test_tuple_fields_take_substream(monkeypatch, cfg, fields, tuple_index):
+    # a tuple's component j draws from substream's j-th spawned child, a block
+    # at a time, so substream itself runs only for each block's self-check
+    oracle = BugOracle(name="dated", fields=fields, predicate=InRange("x", 2, 6))
+    expected = reference_counts(oracle, DATED_ORIGINAL, cfg, 200, 9)
+    pooled = run_trials(oracle, DATED_ORIGINAL, cfg, trials=200, seed=9, workers=2)
+    assert (pooled.successes, pooled.disclosures) == expected
     calls = []
 
     def counted(*args):
         calls.append(args)
         return substream(*args)
 
-    oracle = BugOracle(name="dated", fields=fields, predicate=InRange("x", 2, 6))
-    monkeypatch.setattr(harness, "substream", counted)
+    monkeypatch.setattr(rng, "BLOCK", 64)
+    monkeypatch.setattr(rng, "substream", counted)
     report = run_trials(oracle, DATED_ORIGINAL, cfg, trials=200, seed=9)
-    assert (report.successes, report.disclosures) == reference_counts(
-        oracle, DATED_ORIGINAL, cfg, 200, 9)
-    assert calls == [(9, trial, tuple_index) for trial in range(200)]
+    assert (report.successes, report.disclosures) == expected
+    # per block: the scalar field's self-check, then each date component's
+    assert sorted(calls) == sorted(
+        (9, start, index) for start in range(0, 200, 64) for index in (0, 1, tuple_index))
+    args = (oracle, tuple(DATED_ORIGINAL[n] for n in oracle.field_names),
+            resolve_configs(oracle, cfg), 9)
+    head, tail = harness._run_chunk(*args, 0, 101), harness._run_chunk(*args, 101, 200)
+    assert (head[0] + tail[0], head[1] + tail[1]) == expected
+
+
+TAGS = TupleDomain((StringDomain("[!-~]", 1, 4), StringDomain("[a-z.]", 0, 6)))
+
+
+@pytest.mark.parametrize("policy", list(LengthPolicy), ids=lambda p: p.value)
+def test_tuple_length_raises_are_logged_as_the_per_trial_loop_counts(caplog, policy):
+    # "a.b!" keeps two specials in 1..4 characters, and "x.y" one in 0..6
+    oracle = BugOracle(name="tagged", fields=(("x", X), ("tag", TAGS)),
+                       predicate=InRange("x", 2, 6))
+    original = {"x": Continuous(4), "tag": TupleValue((Text("a.b!"), Text("x.y")))}
+    config = {"x": LocalSuppressionConfig(), "tag": SCDLocalSuppressionConfig(policy)}
+    raises = Counter()
+    for trial in range(700):
+        stream = substream(9, trial, 1)
+        regenerate(anonymize(original["tag"], TAGS, config["tag"], stream), stream, raises)
+    expected = reference_counts(oracle, original, config, 700, 9)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        report = run_trials(oracle, original, config, trials=700, seed=9)
+    assert (report.successes, report.disclosures) == expected
+    assert caplog.messages == [
+        f"raising regenerated length of field 'tag' to fit {needed} special characters "
+        f"in {count}/700 trials" for needed, count in sorted(raises.items())]
+    assert bool(raises) == (policy is LengthPolicy.RANDOM_IN_RANGE)
 
 
 NUL_STRINGS = StringDomain("[\x00-\x02]", 0, 3)
