@@ -118,12 +118,20 @@ def _iter_sources():
     directory = corpus_dir()
     if directory is not None:
         for path in sorted(directory.glob("*.json")):
-            yield path.stem, path.read_text
+            yield path.stem, path
     else:
         root = resources.files(__package__) / "corpus"
         for item in sorted(root.iterdir(), key=lambda i: i.name):
             if item.name.endswith(".json"):
-                yield item.name[: -len(".json")], item.read_text
+                yield item.name[: -len(".json")], item
+
+
+def _read(file: Any) -> str:
+    """An entry file's text, read as UTF-8."""
+    try:
+        return file.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OracleError(f"cannot read oracle file {str(file)!r}: {exc}") from exc
 
 
 def available() -> list[str]:
@@ -146,18 +154,14 @@ def load(name_or_path: str) -> CorpusEntry:
     """Load one entry by corpus name or by path to an entry file."""
     candidate = Path(name_or_path)
     if name_or_path.endswith(".json") or candidate.is_file():
-        try:
-            text = candidate.read_text()
-        except OSError as exc:
-            raise OracleError(f"cannot read oracle file {name_or_path!r}: {exc}") from exc
-        return _parse(text, name_or_path)
-    for name, read_text in _iter_sources():
+        return _parse(_read(candidate), name_or_path)
+    for name, file in _iter_sources():
         if name == name_or_path:
-            return _parse(read_text(), f"{name}.json")
+            return _parse(_read(file), f"{name}.json")
     raise OracleError(
         f"no corpus entry named {name_or_path!r}; available: {', '.join(available())}"
     )
 
 
 def load_all() -> list[CorpusEntry]:
-    return [_parse(read(), f"{name}.json") for name, read in _iter_sources()]
+    return [_parse(_read(file), f"{name}.json") for name, file in _iter_sources()]

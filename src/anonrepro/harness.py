@@ -11,9 +11,10 @@ drawn from the field's draw plan (``techniques.field_plan``) on the
 streams' word tape (``rng.TrialBlock``, ``techniques.regenerate_block``),
 and each block is scored as arrays: a predicate compiled once per run
 (``oracles.compile_expr``) and a disclosure test per field (a number's
-``model.rendering_interval``, a string's code points).  The counts are
-those of the per-trial loop.  SCD length raises are counted and logged
-once per run.
+``model.rendering_interval``, a string's code points).  One row of each
+column is checked against the scalar draw on ``rng.substream``, and the
+rows a column leaves over are drawn there, so the counts are those of the
+per-trial loop.  SCD length raises are counted and logged once per run.
 
 ``run_trials(workers=N)`` splits a run's trials into chunks over one
 process pool shared by every call in the process.  The pool is started on

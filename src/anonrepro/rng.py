@@ -14,20 +14,19 @@ a tuple's components draw from: it repeats ``SeedSequence``'s hash and
 PCG64's seeding as numpy array operations over the block, the 128-bit
 arithmetic on pairs of uint64 limbs (O'Neill, "PCG: A Family of Simple Fast
 Space-Efficient Statistically Good Algorithms for Random Number
-Generation", 2014).  The first trial of every block is checked against
-``substream``; should a numpy release ever derive differently, that block
-falls back to ``substream``, so results stay the same and only the speed is
-lost.
+Generation", 2014).
 
-From the derived states a block either loads one trial's state into a
-reused generator (``TrialBlock.stream``), or steps every trial's PCG64 at
-once in the same limb arithmetic to give a *word tape*: row k holds the k-th
-raw 64-bit output of every trial's stream (``TrialBlock.words``, or
+From the derived states a block steps every trial's PCG64 at once in the
+same limb arithmetic to give a *word tape*: row k holds the k-th raw 64-bit
+output of every trial's stream (``TrialBlock.words``, or
 ``TrialBlock.halves`` for the 32-bit values ``integers`` draws from).
 ``bounded`` and ``uniform`` repeat how numpy's ``Generator`` turns those
 outputs into values.  The techniques module builds whole columns of
-regenerated values from them, and checks one row of every column against the
-scalar draw.
+regenerated values from them, and checks one row of every column against
+the scalar draw on ``substream`` itself (``TrialBlock.stream``): that one
+comparison covers the derivation, the tape and the sampler, and on any
+difference the block falls back to ``substream``, so results stay the same
+and only the speed is lost.
 """
 
 from __future__ import annotations
@@ -178,17 +177,6 @@ def _block_states(seed: int, trials: range, index: int, part: int | None = None)
     return np.stack([np.stack(state, axis=-1), np.stack(inc, axis=-1)], axis=1)
 
 
-def _pcg64_state(limbs: np.ndarray) -> dict:
-    """A freshly seeded PCG64's ``bit_generator.state`` from one trial's limbs."""
-    (s_hi, s_lo), (i_hi, i_lo) = limbs.tolist()
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _derivable(block: range, index: int) -> bool:
     """Whether ``_block_states`` covers every trial of ``block``."""
     lo, hi = min(block[0], block[-1]), max(block[0], block[-1])
@@ -210,47 +198,31 @@ class TrialBlock:
     or with ``part`` j their j-th spawned children, which ``split`` gives a
     tuple's component j.
 
-    ``states``, derived when first read, holds every trial's PCG64 state once
-    the first trial's has been checked against ``substream``.  It is None
-    when the block cannot be derived or the check fails; every stream is
-    then ``substream``'s own and the block has no tape.
+    ``states``, derived when first read, holds every trial's PCG64 state.
+    It is None when the block cannot be derived; the block then has no
+    tape.  Nothing here checks the derived states: the techniques module
+    checks one drawn row of every column against ``stream``.
     """
 
     def __init__(self, master_seed: int, trials: range, index: int, part: int | None = None):
         self.master_seed, self.trials, self.index, self.part = master_seed, trials, index, part
-        self._generator: np.random.Generator | None = None
 
     @functools.cached_property
     def states(self) -> np.ndarray | None:
         if not _derivable(self.trials, self.index):
             return None
         # asarray also takes the states as nested (state, inc) pairs
-        states = np.asarray(_block_states(self.master_seed, self.trials, self.index, self.part),
-                            dtype=np.uint64)
-        reference = self._substream(self.trials[0]).bit_generator.state
-        return states if reference == _pcg64_state(states[0]) else None
-
-    def _substream(self, trial: int) -> np.random.Generator:
-        stream = substream(self.master_seed, trial, self.index)
-        return stream if self.part is None else stream.spawn(self.part + 1)[-1]
+        return np.asarray(_block_states(self.master_seed, self.trials, self.index, self.part),
+                          dtype=np.uint64)
 
     def __len__(self) -> int:
         return len(self.trials)
 
     def stream(self, row: int) -> np.random.Generator:
-        """The stream of trial ``trials[row]``.
-
-        With derived states this is one reused generator, loaded with the
-        trial's state: consume it before asking for the next row.  It carries
-        no ``SeedSequence``, so ``Generator.spawn`` (and ``split``) must not be
-        used on it.
-        """
-        if self.states is None:
-            return self._substream(self.trials[row])
-        if self._generator is None:
-            self._generator = np.random.Generator(np.random.PCG64(0))
-        self._generator.bit_generator.state = _pcg64_state(self.states[row])
-        return self._generator
+        """The stream of trial ``trials[row]``, built by ``substream``: the
+        definition every tape must match."""
+        stream = substream(self.master_seed, self.trials[row], self.index)
+        return stream if self.part is None else stream.spawn(self.part + 1)[self.part]
 
     def _outputs(self, count: int) -> Iterator[np.ndarray]:
         """Every trial's next raw 64-bit output, ``count`` times."""

@@ -671,7 +671,8 @@ def regenerate(record: AnonymizedRecord, rng: np.random.Generator,
 # algorithm behind each of ``draw``'s calls on the block's tape (see rng).
 # It returns the column, the trials it leaves to the scalar path (a rejected
 # draw, a draw past the tape), and the length raises among the others; or
-# None when the plan's parameters have no column form.
+# None when the plan's parameters have no column form, or the plan needs a
+# tape and the block has no derived states.  A constant needs no tape.
 
 
 @dataclass(eq=False)
@@ -759,6 +760,8 @@ def _column(plan: Plan, block: TrialBlock) -> tuple[Column, np.ndarray, Counter]
     n = len(block)
     if isinstance(plan, Constant):
         return pack([plan.value] * n), np.zeros(n, bool), Counter()
+    if block.states is None:
+        return None
     if isinstance(plan, Chars):
         return _string_column(block, plan)
     if isinstance(plan, Pick):
@@ -886,37 +889,33 @@ def regenerate_block(plan: Plan, block: TrialBlock,
     plan ``field_plan`` gives.  A ``Parts`` plan gives one column per
     component j, drawn on the block of the streams' j-th children.
 
-    When the block has derived states, the values come from its tape as one
-    column of the plan.  The first trial the column covers is boxed and
-    compared with the scalar draw on the same state; on any difference (a
-    numpy whose algorithms have changed) every trial takes the scalar draw,
-    and otherwise only the trials the column leaves over do, written back
-    into it.  The result never depends on the column alone.
+    The plan's column (on the block's tape, unless the plan is constant) is
+    checked at the first trial it covers against the scalar draw on that
+    trial's ``substream``: one comparison for the derived states, the tape
+    and the sampler.  The trials the column leaves over take the scalar
+    draw, written back into it.  Every trial takes it when there is no
+    column or the check fails (a numpy whose algorithms have changed), so
+    the result never depends on the column alone.
     """
     if isinstance(plan, Parts):
         seed, trials, index = block.master_seed, block.trials, block.index
         return tuple(regenerate_block(p, TrialBlock(seed, trials, index, j), length_raises)
                      for j, p in enumerate(plan.plans))
-    n = len(block)
-    drawn = None if block.states is None else _column(plan, block)
-    if drawn is None:
-        return pack([draw(plan, block.stream(row), length_raises) for row in range(n)])
-    column, leftover, raises = drawn
-    covered = np.flatnonzero(~leftover)
-    if covered.size:
-        check = int(covered[0])
+    drawn = _column(plan, block)
+    check, reference = -1, None
+    if drawn is not None and not drawn[1].all():
+        column, leftover, raises = drawn
+        check = int(np.argmin(leftover))  # the first trial the column covers
         check_raises: Counter = Counter()
         reference = draw(plan, block.stream(check), check_raises)
-        if repr(reference) != repr(column.box(check)):
-            length_raises += check_raises
-            return pack([
-                reference if row == check else draw(plan, block.stream(row), length_raises)
-                for row in range(n)
-            ])
-    length_raises += raises
-    for row in np.flatnonzero(leftover).tolist():
-        column.put(row, draw(plan, block.stream(row), length_raises))
-    return column
+        if repr(reference) == repr(column.box(check)):
+            length_raises += raises
+            for row in np.flatnonzero(leftover).tolist():
+                column.put(row, draw(plan, block.stream(row), length_raises))
+            return column
+        length_raises += check_raises
+    return pack([reference if row == check else draw(plan, block.stream(row), length_raises)
+                 for row in range(len(block))])
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,30 @@ def test_malformed_trace_exits_1(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["regenerate", "--trace", "bad.json", "--out", "o.json"],
+    ["anonymize", "--trace", "bad.json", "--config", "config.json", "--out", "o.json"],
+    ["anonymize", "--trace", "trace.json", "--config", "bad.json", "--out", "o.json"],
+    ["report", "--in", "bad.json"],
+    ["simulate", "--config", "bad.json", "--out", "o"],
+    ["simulate", "--config", "run.json", "--out", "o"],
+    ["simulate", "--out", "o"],
+], ids=["regenerate-trace", "anonymize-trace", "anonymize-config", "report-in",
+        "simulate-config", "simulate-oracle", "corpus-dir"])
+def test_non_utf8_input_exits_1_naming_the_file(trace_files, monkeypatch, capsys, argv):
+    tmp_path = trace_files[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "run.json").write_text(json.dumps({"oracles": ["bad.json"], "trials": 10}))
+    if argv == ["simulate", "--out", "o"]:  # the corpus itself holds the file
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "bad.json").write_bytes(b"\xff\xfe{}")
+        monkeypatch.setenv(corpus.ENV_CORPUS_DIR, str(tmp_path / "corpus"))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "bad.json" in err and "unexpected" not in err, err
+
+
 # ---------------------------------------------------------------------------
 # simulate and report
 

@@ -365,8 +365,14 @@ def test_wrong_sampler_trips_the_self_check(monkeypatch, name, sampler):
     got = [run_trials(e.oracle, e.original_assignment, cfg, trials=300, seed=13)
            for e in entries for cfg in e.configs]
     assert got == expected
-    original, domain, cfg = KINDS["noise-integer" if name == "uniform" else "suppressed-integer"]
-    assert assert_column_is_scalar(original, domain, cfg, 1, range(0, 300), 0) == 300
+    # an SCD kind's fallback must also count the length raises the scalar
+    # path does; trial 8 raises its length, and is the block's check row
+    kinds = [("noise-integer", 0)] if name == "uniform" else [
+        ("suppressed-integer", 0), ("special-chars", 8)]
+    for kind, start in kinds:
+        original, domain, cfg = KINDS[kind]
+        trials = range(start, start + 300)
+        assert assert_column_is_scalar(original, domain, cfg, 1, trials, 0) == 300, kind
 
 
 @pytest.mark.parametrize("workers", [1, 2])

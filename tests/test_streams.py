@@ -51,18 +51,21 @@ PARTS = st.integers(min_value=0, max_value=3)
 
 
 def assert_same_streams(seed, trials, index, part=None):
+    # a derived block's tape holds the raw outputs of substream's generator,
+    # or of its spawned child; a block that cannot be derived has no tape
     count = 0
     for block in rng.blocks(trials):
         streams = TrialBlock(seed, block, index, part)
+        tape = None if streams.states is None else streams.words(3)
+        assert (tape is None) == (not rng._derivable(block, index))
         for row, trial in enumerate(block):
-            generator = streams.stream(row)
             reference = substream(seed, trial, index)
             if part is not None:
                 reference = reference.spawn(part + 1)[part]
+            generator = streams.stream(row)
             assert generator.bit_generator.state == reference.bit_generator.state, trial
-            assert np.array_equal(generator.integers(0, 2**63, size=3),
-                                  reference.integers(0, 2**63, size=3))
-            assert generator.random() == reference.random()
+            if tape is not None:
+                assert tape[:, row].tolist() == reference.bit_generator.random_raw(3).tolist(), trial
             count += 1
     assert count == len(trials)
 
@@ -108,13 +111,11 @@ def test_mismatched_derivation_falls_back_to_substream(monkeypatch):
     monkeypatch.setattr(rng, "BLOCK", 64)
     monkeypatch.setattr(rng, "_block_states", corrupt(rng._block_states))
     monkeypatch.setattr(rng, "substream", counted)
-    assert_same_streams(11, range(5, 200), 1)
-    calls.clear()
     report = run_trials(entry.oracle, entry.original_assignment, cfg, trials=300, seed=3)
     assert (report.successes, report.disclosures) == (expected.successes, expected.disclosures)
-    # one self-check per block, then every trial of the block, for each field
-    blocks = -(-300 // 64)
-    assert len(calls) == len(entry.oracle.fields) * (300 + blocks)
+    # every trial of every field drawn from substream once: the check row's
+    # draw is reused
+    assert len(calls) == len(entry.oracle.fields) * 300
 
 
 def test_mismatched_part_derivation_falls_back_to_spawned_children(monkeypatch):
@@ -124,14 +125,34 @@ def test_mismatched_part_derivation_falls_back_to_spawned_children(monkeypatch):
         calls.append(args)
         return substream(*args)
 
+    domain = NumericDomain(0, 10**6, integer=True)
+    plan = field_plan(Continuous(5), domain, LocalSuppressionConfig())
+    expected = [regenerate(techniques.Suppressed(domain), substream(11, trial, 1).spawn(3)[2])
+                for trial in range(5, 200)]
     monkeypatch.setattr(rng, "BLOCK", 64)
     monkeypatch.setattr(rng, "_block_states", corrupt(rng._block_states))
     monkeypatch.setattr(rng, "substream", counted)
-    assert TrialBlock(11, range(5, 69), 1, 2).states is None
-    calls.clear()
-    assert_same_streams(11, range(5, 200), 1, part=2)
-    # one self-check per block, then every trial of the block
-    assert len(calls) == 195 + -(-195 // 64)
+    got = []
+    for block in rng.blocks(range(5, 200)):
+        column = techniques.regenerate_block(plan, TrialBlock(11, block, 1, 2), Counter())
+        got += [column.box(row) for row in range(len(block))]
+    assert list(map(repr, got)) == list(map(repr, expected))
+    # every trial drawn from its spawned child once: the check row's draw is reused
+    assert len(calls) == 195
+
+
+def test_constant_plans_derive_no_states(monkeypatch):
+    # rounding gives every field a constant plan, whose column needs no tape
+    def underived(*args):
+        raise AssertionError(f"block states derived for {args}")
+
+    entry = corpus.load("birday")
+    oracle, original = entry.oracle, entry.original_assignment
+    rounding = [cfg for cfg in entry.configs if isinstance(cfg, RoundingConfig)]
+    expected = [reference_counts(oracle, original, cfg, 300, 3) for cfg in rounding]
+    monkeypatch.setattr(rng, "_block_states", underived)
+    reports = [run_trials(oracle, original, cfg, trials=300, seed=3) for cfg in rounding]
+    assert [(r.successes, r.disclosures) for r in reports] == expected
 
 
 def reference_counts(oracle, original, config, trials, seed):
