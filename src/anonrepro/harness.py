@@ -42,7 +42,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from .corpus import CorpusEntry
 from .errors import ConfigError, InvalidBaselineError
@@ -461,13 +460,65 @@ class VerificationResult:
         return "PASS" if self.passed else "FAIL"
 
 
+#: The levels of P(X <= k) that bound the central 99% region, as exact decimals.
+_LEVELS = (Fraction(1, 200), Fraction(199, 200))
+#: A float CDF within this relative distance of a level is decided exactly.
+_NEAR = 1e-9
+
+
 def acceptance_region(trials: int, probability: float) -> tuple[int, int]:
-    """Central 99% acceptance region for Binomial(trials, probability)."""
+    """Central 99% acceptance region for Binomial(trials, probability).
+
+    Its lower end is the smallest k with P(X <= k) >= 0.005 and its upper end
+    the smallest k with P(X <= k) >= 0.995, the float probability taken
+    exactly.  The pmf is summed over mean +- (12 sd + 40), clipped to
+    [0, trials], where all but far less than 1e-20 of the mass lies: each
+    point's log relative to the window's first is a cumulative sum of
+    log((n - j)/(j + 1)) + log(p/q), and the window's total normalizes the
+    sums.  A float CDF within 1e-9 (relative) of a level is decided by
+    ``_reaches`` in exact arithmetic; up to 10**6 trials the float sums' own
+    error is far smaller.
+    """
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {probability!r}")
-    lower = int(binom.ppf(0.005, trials, probability))
-    upper = int(binom.ppf(0.995, trials, probability))
+    if probability in (0.0, 1.0):
+        end = trials if probability == 1.0 else 0
+        return end, end
+    n, p = trials, probability
+    mean = n * p
+    width = 12 * math.sqrt(mean * (1 - p)) + 40
+    lo, hi = max(0, math.floor(mean - width)), min(n, math.ceil(mean + width))
+    j = np.arange(lo, hi, dtype=np.float64)
+    steps = np.log((n - j) / (j + 1)) + (math.log(p) - math.log1p(-p))
+    log_mass = np.concatenate(([0.0], np.cumsum(steps)))
+    cdf = np.cumsum(np.exp(log_mass - log_mass.max()))
+    cdf /= cdf[-1]
+
+    def quantile(level: Fraction) -> int:
+        # below i the CDF misses the level and from the first point beyond
+        # the near band it reaches it, whatever the float error
+        i = int(np.searchsorted(cdf, float(level) * (1 - _NEAR)))
+        while cdf[i] < float(level) * (1 + _NEAR) and not _reaches(n, p, lo + i, level):
+            i += 1
+        return lo + i
+
+    lower, upper = map(quantile, _LEVELS)
     return lower, upper
+
+
+def _reaches(trials: int, probability: float, k: int, level: Fraction) -> bool:
+    """P(X <= k) >= level for X ~ Binomial(trials, probability), in integers:
+    with p = a/d and b = d - a, P(X <= k) d**n is the sum over i <= k of
+    comb(n, i) a**i b**(n - i), each term the last times (n - i) a/((i + 1) b).
+    The terms have about trials * log2(d) bits, so it serves near-ties only.
+    """
+    a, d = probability.as_integer_ratio()
+    b = d - a
+    term = mass = b**trials
+    for i in range(k):
+        term = term * (trials - i) * a // ((i + 1) * b)
+        mass += term
+    return mass * level.denominator >= level.numerator * d**trials
 
 
 def verify_against_bruteforce(

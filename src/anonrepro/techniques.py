@@ -671,8 +671,9 @@ def regenerate(record: AnonymizedRecord, rng: np.random.Generator,
 # algorithm behind each of ``draw``'s calls on the block's tape (see rng).
 # It returns the column, the trials it leaves to the scalar path (a rejected
 # draw, a draw past the tape), and the length raises among the others; or
-# None when the plan's parameters have no column form, or the plan needs a
-# tape and the block has no derived states.  A constant needs no tape.
+# None when the plan's parameters have no column form, or the block has no
+# derived states.  A constant draws nothing: its column is its value
+# repeated, and reads no stream.
 
 
 @dataclass(eq=False)
@@ -687,6 +688,10 @@ class Numbers:
 
     def put(self, row: int, value: Continuous) -> None:
         self.values[row] = value.value
+
+    def take(self, rows: np.ndarray) -> "Numbers":
+        """The column of rows ``rows``, in that order."""
+        return Numbers(self.values[rows], self.precision)
 
 
 @dataclass(eq=False)
@@ -709,6 +714,10 @@ class Strings:
             self.codes = np.pad(self.codes, ((0, 0), (0, wider)))
         self.codes[row, : len(codes)] = codes
         self.lengths[row] = len(codes)
+
+    def take(self, rows: np.ndarray) -> "Strings":
+        """The column of rows ``rows``, in that order."""
+        return Strings(self.codes[rows], self.lengths[rows], self.kind)
 
     def equals(self, text: str) -> np.ndarray:
         """Which rows hold ``text``."""
@@ -756,10 +765,8 @@ def _integer_column(
 
 
 def _column(plan: Plan, block: TrialBlock) -> tuple[Column, np.ndarray, Counter] | None:
-    """``draw(plan, ...)`` per trial of ``block``."""
+    """``draw(plan, ...)`` per trial of ``block``, for a plan that draws."""
     n = len(block)
-    if isinstance(plan, Constant):
-        return pack([plan.value] * n), np.zeros(n, bool), Counter()
     if block.states is None:
         return None
     if isinstance(plan, Chars):
@@ -768,9 +775,8 @@ def _column(plan: Plan, block: TrialBlock) -> tuple[Column, np.ndarray, Counter]
         drawn = _integer_column(block, 0, len(plan.labels) - 1)
         if drawn is None:
             return None
-        labels: Strings = pack(list(map(Categorical, plan.labels)))  # type: ignore[assignment]
-        picked = Strings(labels.codes[drawn[0]], labels.lengths[drawn[0]], Categorical)
-        return picked, drawn[1], Counter()
+        labels = pack(list(map(Categorical, plan.labels)))
+        return labels.take(drawn[0]), drawn[1], Counter()
     if isinstance(plan, Grid):
         drawn = _integer_column(block, plan.lo, plan.hi)
         if drawn is None or plan.scale > _EXACT:  # the grid step is no longer exact
@@ -889,18 +895,21 @@ def regenerate_block(plan: Plan, block: TrialBlock,
     plan ``field_plan`` gives.  A ``Parts`` plan gives one column per
     component j, drawn on the block of the streams' j-th children.
 
-    The plan's column (on the block's tape, unless the plan is constant) is
-    checked at the first trial it covers against the scalar draw on that
-    trial's ``substream``: one comparison for the derived states, the tape
-    and the sampler.  The trials the column leaves over take the scalar
-    draw, written back into it.  Every trial takes it when there is no
-    column or the check fails (a numpy whose algorithms have changed), so
-    the result never depends on the column alone.
+    A ``Constant`` plan's column is its value repeated, with no stream read.
+    Any other plan's column, on the block's tape, is checked at the first
+    trial it covers against the scalar draw on that trial's ``substream``:
+    one comparison for the derived states, the tape and the sampler.  The
+    trials the column leaves over take the scalar draw, written back into
+    it.  Every trial takes it when there is no column or the check fails (a
+    numpy whose algorithms have changed), so the result never depends on the
+    column alone.
     """
     if isinstance(plan, Parts):
         seed, trials, index = block.master_seed, block.trials, block.index
         return tuple(regenerate_block(p, TrialBlock(seed, trials, index, j), length_raises)
                      for j, p in enumerate(plan.plans))
+    if isinstance(plan, Constant):
+        return pack([plan.value]).take(np.zeros(len(block), dtype=np.intp))
     drawn = _column(plan, block)
     check, reference = -1, None
     if drawn is not None and not drawn[1].all():

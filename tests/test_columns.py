@@ -149,7 +149,8 @@ def test_column_covers_all_but_the_check_row(kind):
     original, domain, cfg = KINDS[kind]
     scalar_rows = assert_column_is_scalar(original, domain, cfg, 11, range(500, 1700), 1)
     blocks = 2  # 1,200 trials in blocks of 1,024
-    assert scalar_rows == blocks, kind
+    # a constant's column is its value repeated: no check row
+    assert scalar_rows == (0 if kind == "concrete" else blocks), kind
 
 
 def test_tape_words_are_the_raw_outputs():
@@ -181,7 +182,7 @@ def test_lemire_rejections_take_the_scalar_path():
 ], ids=["interval-range-0", "category-range-0", "range-2**32-1", "concrete"])
 def test_edge_ranges(record):
     scalar_rows = assert_column_is_scalar(None, None, None, 5, range(3, 1003), 4, record)
-    assert scalar_rows == 1
+    assert scalar_rows == (0 if isinstance(record, Concrete) else 1)
 
 
 def test_special_chars_collide_reject_and_raise():

@@ -13,6 +13,8 @@ from multiprocessing.connection import wait
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anonrepro import corpus, harness
 from anonrepro.errors import ConfigError, EvaluationError, InvalidBaselineError
@@ -324,8 +326,7 @@ def test_acceptance_region_edges():
     assert (lower, upper) == (0, 0)
     lower, upper = acceptance_region(1000, 1.0)
     assert (lower, upper) == (1000, 1000)
-    lower, upper = acceptance_region(100000, 25 / 37200)
-    assert 0 < lower < 25 / 37200 * 100000 < upper
+    assert acceptance_region(100000, 25 / 37200) == (47, 89)
 
 
 
@@ -333,6 +334,77 @@ def test_acceptance_region_edges():
 def test_acceptance_region_rejects_bad_probability(probability):
     with pytest.raises(ValueError, match="probability"):
         acceptance_region(1000, probability)
+
+
+def exact_cdf(trials, probability):
+    """P(X <= k) for k = 0..trials, summing the pmf of the float probability
+    in fractions."""
+    p = Fraction(probability)
+    cdf, total = [], Fraction(0)
+    for k in range(trials + 1):
+        total += math.comb(trials, k) * p**k * (1 - p) ** (trials - k)
+        cdf.append(total)
+    return cdf
+
+
+def exact_region(trials, probability):
+    """The smallest k with P(X <= k) >= 0.005, and with >= 0.995."""
+    cdf = exact_cdf(trials, probability)
+    return tuple(next(k for k, c in enumerate(cdf) if c >= level)
+                 for level in (Fraction(1, 200), Fraction(199, 200)))
+
+
+REGION_GRID = sorted({i / 64 for i in range(65)} | {0.005, 0.995, 0.1, 0.3, 1 / 3, 0.7, 0.9,
+                                                    1e-3, 1e-6, 1e-12, 1 - 1e-3, 1 - 1e-12})
+
+
+@pytest.mark.parametrize("trials", range(21))
+def test_acceptance_region_equals_its_closed_form(trials):
+    for probability in REGION_GRID:
+        assert acceptance_region(trials, probability) == exact_region(trials, probability), probability
+
+
+@pytest.mark.parametrize("trials, probability, expected", [
+    # P(X <= 0) = 1 - p, a hair under 0.995 for the float 0.005
+    (1, 0.005, (0, 1)),
+    # P(X <= 0) = (1 - p)**2, a hair under 0.995 for the float p
+    (2, 1 - math.sqrt(0.995), (0, 1)),
+])
+def test_acceptance_region_decides_near_ties_exactly(trials, probability, expected):
+    assert exact_region(trials, probability) == expected
+    assert acceptance_region(trials, probability) == expected
+
+
+@pytest.mark.parametrize("probability", [0.005, 0.3, 1 / 3, 0.9])
+def test_near_ties_compare_the_exact_cdf(probability):
+    # a level equal to P(X <= k) is reached, and one a hair above it is not
+    for k, cdf in enumerate(exact_cdf(12, probability)):
+        assert harness._reaches(12, probability, k, cdf)
+        assert not harness._reaches(12, probability, k, cdf + Fraction(1, 10**30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6), st.floats(1e-12, 1.0))
+def test_acceptance_region_equals_scipy_quantiles(trials, probability):
+    binom = pytest.importorskip("scipy.stats").binom
+    expected = tuple(int(binom.ppf(level, trials, probability)) for level in (0.005, 0.995))
+    for level, k in zip((0.005, 0.995), expected):
+        # scipy's own float answer is not exact where the CDF is this close to a level
+        assume(all(abs(binom.cdf(j, trials, probability) - level) > 1e-9 for j in (k - 1, k)))
+    assert acceptance_region(trials, probability) == expected
+
+
+def test_cli_imports_no_scipy():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, anonrepro.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
 
 def test_verify_propagates_infeasible_domains():
     from anonrepro.errors import EnumerationInfeasibleError

@@ -16,6 +16,7 @@ from anonrepro import corpus, harness, rng, techniques
 from anonrepro.harness import resolve_configs, run_trials
 from anonrepro.errors import UnsupportedTechniqueError
 from anonrepro.model import (
+    Categorical,
     Continuous,
     NumericDomain,
     StringDomain,
@@ -155,6 +156,21 @@ def test_constant_plans_derive_no_states(monkeypatch):
     assert [(r.successes, r.disclosures) for r in reports] == expected
 
 
+@pytest.mark.parametrize("value", [Continuous(12.5, 1), Text("a.b!"), Categorical("b")],
+                         ids=["number", "text", "label"])
+def test_constant_blocks_read_no_stream(monkeypatch, value):
+    def unread(*args):
+        raise AssertionError(f"stream read for {args}")
+
+    monkeypatch.setattr(rng, "substream", unread)
+    monkeypatch.setattr(rng, "_block_states", unread)
+    raises = Counter()
+    column = techniques.regenerate_block(
+        techniques.Constant(value), TrialBlock(5, range(3, 70), 2), raises)
+    assert [repr(column.box(row)) for row in range(67)] == [repr(value)] * 67
+    assert not raises
+
+
 def reference_counts(oracle, original, config, trials, seed):
     """The trial loop spelled out: one fresh substream per (trial, field)."""
     per_field = resolve_configs(oracle, config)
@@ -220,9 +236,11 @@ def test_tuple_fields_take_substream(monkeypatch, cfg, fields, tuple_index):
     monkeypatch.setattr(rng, "substream", counted)
     report = run_trials(oracle, DATED_ORIGINAL, cfg, trials=200, seed=9)
     assert (report.successes, report.disclosures) == expected
-    # per block: the scalar field's self-check, then each date component's
+    # per block: the scalar field's self-check, then each date component's;
+    # rounding's constant plans read no stream
+    drawn = () if isinstance(cfg, RoundingConfig) else (0, 1, tuple_index)
     assert sorted(calls) == sorted(
-        (9, start, index) for start in range(0, 200, 64) for index in (0, 1, tuple_index))
+        (9, start, index) for start in range(0, 200, 64) for index in drawn)
     args = (oracle, tuple(DATED_ORIGINAL[n] for n in oracle.field_names),
             resolve_configs(oracle, cfg), 9)
     head, tail = harness._run_chunk(*args, 0, 101), harness._run_chunk(*args, 101, 200)
