@@ -17,17 +17,17 @@ import json
 import logging
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import corpus, report as report_mod
 from .errors import (
     AnonReproError,
     ConfigError,
     EnumerationInfeasibleError,
-    TraceParseError,
     ValidationError,
+    naming,
 )
 from .harness import (
     DEFAULT_CONFIDENCE,
@@ -45,6 +45,7 @@ from .model import (
     event_from_json,
     parse_trace,
     serialize_trace,
+    trace_events,
 )
 from .rng import substream
 from .techniques import (
@@ -94,15 +95,6 @@ def _read_json(path: str) -> Any:
         ) from exc
 
 
-@contextmanager
-def _naming(where: str) -> Iterator[None]:
-    """Prefix ``where`` (an input path, an event) to an error raised inside."""
-    try:
-        yield
-    except AnonReproError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -124,16 +116,16 @@ def _config_or_map(raw: Any, key: str) -> TechniqueConfig | dict[str, TechniqueC
 
 def cmd_anonymize(args: argparse.Namespace) -> int:
     text = _read_text(args.trace)
-    with _naming(args.trace):
+    with naming(args.trace):
         trace = parse_trace(text)
     raw_configs = _read_json(args.config)
-    with _naming(args.config):
+    with naming(args.config):
         configs = _config_or_map(raw_configs, "widgets")
     events_out: list[dict[str, Any]] = []
     for index, event in enumerate(trace.events):
         item: dict[str, Any] = {"action": event.action, "widget": event.widget}
         if event.data is not None:
-            with _naming(f"{args.trace}: event {index}"):
+            with naming(f"{args.trace}: event {index}"):
                 cfg = configs.get(event.widget) if isinstance(configs, dict) else configs
                 if cfg is None:
                     raise ConfigError(f"no technique configured for widget {event.widget!r}")
@@ -150,12 +142,10 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
 
 
 def cmd_regenerate(args: argparse.Namespace) -> int:
-    raw = _read_json(args.trace)
+    text = _read_text(args.trace)
     events: list[Event] = []
-    with _naming(args.trace):
-        if not isinstance(raw, dict) or not isinstance(raw.get("events"), list):
-            raise TraceParseError("a trace is an object with an 'events' array")
-        for index, item in enumerate(raw["events"]):
+    with naming(args.trace):
+        for index, item in enumerate(trace_events(text)):
             if isinstance(item, dict) and "data" in item:
                 raise ValidationError(
                     f"event {index} holds a raw value; regenerate expects an "
@@ -164,7 +154,7 @@ def cmd_regenerate(args: argparse.Namespace) -> int:
             event = event_from_json(item, index, payload="record")
             if "record" in item:
                 raised: Counter = Counter()
-                with _naming(f"event {index}"):
+                with naming(f"event {index}"):
                     record = record_from_json(item["record"])
                     value = regenerate(record, substream(args.seed, index), raised)
                 for needed in sorted(raised):
@@ -183,72 +173,75 @@ def cmd_regenerate(args: argparse.Namespace) -> int:
 
 
 def _load_run_config(args: argparse.Namespace) -> dict[str, Any]:
+    """The run config, its flags applied and its techniques read; an error
+    names the config file, if one was given."""
     raw = _read_json(args.config) if args.config else {}
-    if not isinstance(raw, dict):
-        raise ConfigError("a run config is a JSON object")
-    check_keys(raw, _RUN_DEFAULTS, "run config", ConfigError)
-    cfg = {**_RUN_DEFAULTS, **raw}
-    for key, default in _RUN_DEFAULTS.items():
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
-        if default is not None:
-            check_type(cfg[key], (type(default),), "run config", key, ConfigError)
-    for key in ("trials", "workers"):
-        if cfg[key] < 1:
-            raise ConfigError(f"run config: {key!r} must be positive, got {cfg[key]!r}")
-    if not 0 < cfg["confidence"] < 1:
-        raise ConfigError(
-            f"run config: 'confidence' must lie in (0, 1), got {cfg['confidence']!r}"
-        )
-    if cfg["format"] not in ("csv", "table", "both"):
-        raise ConfigError(
-            f"run config: 'format' must be csv, table or both, got {cfg['format']!r}"
-        )
+    with naming(args.config) if args.config else nullcontext():
+        if not isinstance(raw, dict):
+            raise ConfigError("a run config is a JSON object")
+        check_keys(raw, _RUN_DEFAULTS, "run config", ConfigError)
+        cfg = {**_RUN_DEFAULTS, **raw}
+        for key, default in _RUN_DEFAULTS.items():
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
+            if default is not None:
+                check_type(cfg[key], (type(default),), "run config", key, ConfigError)
+        for key in ("trials", "workers"):
+            if cfg[key] < 1:
+                raise ConfigError(f"run config: {key!r} must be positive, got {cfg[key]!r}")
+        if not 0 < cfg["confidence"] < 1:
+            raise ConfigError(
+                f"run config: 'confidence' must lie in (0, 1), got {cfg['confidence']!r}"
+            )
+        if cfg["format"] not in ("csv", "table", "both"):
+            raise ConfigError(
+                f"run config: 'format' must be csv, table or both, got {cfg['format']!r}"
+            )
+        names = cfg["oracles"] or []
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ConfigError("'oracles' must be a list of corpus names or paths")
+        if not isinstance(cfg["techniques"] or [], list):
+            raise ConfigError("'techniques' must be a list of technique configs")
+        cfg["techniques"] = [
+            _config_or_map(item, "per_field") for item in cfg["techniques"] or []
+        ]
     return cfg
 
 
 def _run_simulation(
     cfg: Mapping[str, Any]
 ) -> tuple[list[TrialReport], list[VerificationResult], int]:
-    names = cfg["oracles"] or corpus.available()
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ConfigError("'oracles' must be a list of corpus names or paths")
-    raw_techniques = cfg["techniques"] or []
-    if not isinstance(raw_techniques, list):
-        raise ConfigError("'techniques' must be a list of technique configs")
-    shared = [_config_or_map(item, "per_field") for item in raw_techniques]
-
     reports: list[TrialReport] = []
     verifications: list[VerificationResult] = []
     skipped = 0
-    for name in names:
+    for name in cfg["oracles"] or corpus.available():
         entry = corpus.load(name)
-        configs: Sequence[Any] = shared if shared else entry.configs
-        for technique_cfg in configs:
-            trial = run_trials(
-                entry.oracle,
-                entry.original_assignment,
-                technique_cfg,
-                trials=cfg["trials"],
-                seed=cfg["seed"],
-                confidence=cfg["confidence"],
-                workers=cfg["workers"],
-            )
-            reports.append(trial)
-            if cfg["verify"]:
-                try:
-                    verifications.append(
-                        verify_against_bruteforce(
-                            entry.oracle,
-                            entry.original_assignment,
-                            technique_cfg,
-                            trials=max(cfg["trials"], VERIFY_MIN_TRIALS),
-                            seed=cfg["seed"],
-                            workers=cfg["workers"],
+        configs: Sequence[Any] = cfg["techniques"] or entry.configs
+        with naming(f"oracle {entry.oracle.name!r}"):
+            for technique_cfg in configs:
+                reports.append(run_trials(
+                    entry.oracle,
+                    entry.original_assignment,
+                    technique_cfg,
+                    trials=cfg["trials"],
+                    seed=cfg["seed"],
+                    confidence=cfg["confidence"],
+                    workers=cfg["workers"],
+                ))
+                if cfg["verify"]:
+                    try:
+                        verifications.append(
+                            verify_against_bruteforce(
+                                entry.oracle,
+                                entry.original_assignment,
+                                technique_cfg,
+                                trials=max(cfg["trials"], VERIFY_MIN_TRIALS),
+                                seed=cfg["seed"],
+                                workers=cfg["workers"],
+                            )
                         )
-                    )
-                except EnumerationInfeasibleError:
-                    skipped += 1
+                    except EnumerationInfeasibleError:
+                        skipped += 1
     return reports, verifications, skipped
 
 

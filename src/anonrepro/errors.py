@@ -9,6 +9,9 @@ and the latter, together with anything unexpected, to exit code 2.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class AnonReproError(Exception):
     """Base class for all toolkit errors."""
@@ -64,3 +67,13 @@ class EvaluationError(RuntimeFailure):
 
 class EnumerationInfeasibleError(RuntimeFailure):
     """Exact probability enumeration is not possible for this setup."""
+
+
+@contextmanager
+def naming(where: str) -> Iterator[None]:
+    """Prefix ``where`` (an input path, an event, an oracle or a field) to an
+    error raised inside."""
+    try:
+        yield
+    except AnonReproError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc

@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CorpusEntry
-from .errors import ConfigError, InvalidBaselineError
+from .errors import ConfigError, InvalidBaselineError, naming
 from .model import Continuous, DataValue, Text, TupleValue, rendering_interval
 from .oracles import (
     BugOracle,
@@ -229,8 +229,10 @@ def _run_chunk(
     """
     names = oracle.field_names
     triggers = compile_expr(oracle.predicate)
-    plans = [field_plan(original, domain, cfg)
-             for (_, domain), original, cfg in zip(oracle.fields, originals, per_field)]
+    plans = []
+    for (name, domain), original, cfg in zip(oracle.fields, originals, per_field):
+        with naming(f"field {name!r}"):
+            plans.append(field_plan(original, domain, cfg))
     # every field reads back its original: the disclosure test of a tuple
     disclosed = _disclosure(TupleValue(originals))
     raises = [Counter() for _ in originals]

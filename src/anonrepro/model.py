@@ -28,6 +28,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal
 from enum import Enum, EnumMeta
+from fractions import Fraction
 from functools import lru_cache
 from types import UnionType
 from typing import Any, Callable, Iterable, Mapping, Union, get_args, get_origin, get_type_hints
@@ -340,32 +341,6 @@ def values_equal(reference: DataValue, other: DataValue) -> bool:
     return reference == other
 
 
-_MANTISSA = 1 << 52
-#: ``_float_key`` of the greatest finite float.
-_MAX_KEY = (2046 << 52) + _MANTISSA - 1
-
-
-def _float_key(x: float) -> int:
-    """The place of finite ``x`` among the floats in order: the IEEE 754 bit
-    pattern of ``abs(x)``, negated for negative ``x``; both zeros are 0."""
-    magnitude = abs(x)
-    if magnitude < 2.0**-1022:  # zero and the subnormals, multiples of 2**-1074
-        key = int(math.ldexp(magnitude, 1074))
-    else:
-        fraction, exponent = math.frexp(magnitude)
-        key = ((exponent + 1022) << 52) + int(math.ldexp(fraction, 53)) - _MANTISSA
-    return -key if x < 0 else key
-
-
-def _key_float(key: int) -> float:
-    """The float at place ``key`` (``_float_key``'s inverse; 0 gives +0.0)."""
-    exponent, mantissa = divmod(abs(key), _MANTISSA)
-    if exponent:
-        mantissa += _MANTISSA  # a normal float's implicit leading bit
-    magnitude = math.ldexp(mantissa, max(exponent, 1) - 1075)
-    return -magnitude if key < 0 else magnitude
-
-
 @lru_cache(maxsize=1024)
 def rendering_interval(value: float, precision: int) -> tuple[float, float]:
     """The least and the greatest finite float x with ``format_number(x,
@@ -373,28 +348,21 @@ def rendering_interval(value: float, precision: int) -> tuple[float, float]:
     ``Continuous(value, precision)``, ``values_equal`` holds for every float
     between them and for no other.
 
-    ``format_number`` rounds monotonically and renders -0 as 0, so those
-    floats form one interval.  Each end is found by bisection over the
-    floats in order, with ``format_number`` itself as the test.  Cached,
-    because every run of an oracle compares with the same originals.
+    ``format_number`` rounds correctly, so those are the floats within half
+    a unit, h = 10**-precision / 2, of the rendering d; a tie at d ± h rounds
+    to even.  The float nearest d - h (d + h), finite as |d| <= max float and
+    h <= 1/2, is the least (greatest) of them or the one just outside, and
+    ``format_number`` itself tells which.  Cached, because every run of an
+    oracle compares with the same originals.
     """
     rendered = format_number(value, precision)
-
-    def renders_alike(key: int) -> bool:
-        return format_number(_key_float(key), precision) == rendered
-
+    half = Fraction(1, 2 * 10**precision)
     ends = []
-    for outside in (-_MAX_KEY, _MAX_KEY):
-        inside = _float_key(value)
-        if renders_alike(outside):
-            inside = outside
-        while abs(outside - inside) > 1:
-            middle = (inside + outside) // 2
-            if renders_alike(middle):
-                inside = middle
-            else:
-                outside = middle
-        ends.append(_key_float(inside))
+    for edge in (Fraction(rendered) - half, Fraction(rendered) + half):
+        end = float(edge)
+        if format_number(end, precision) != rendered:
+            end = math.nextafter(end, value)
+        ends.append(end)
     return ends[0], ends[1]
 
 
@@ -742,12 +710,9 @@ def event_from_json(raw: Any, index: int, payload: str = "data") -> Event:
         raise type(exc)(f"{where} (widget {raw['widget']!r}): {exc}") from exc
 
 
-def parse_trace(text: str) -> FailureTrace:
-    """Parse a trace from its JSON text.
-
-    Raises TraceParseError for malformed input and NonConformingValueError
-    when an event's value lies outside its declared domain.
-    """
+def trace_events(text: str) -> list[Any]:
+    """The raw events of a trace, or of an anonymized trace, from its JSON
+    text: an object that holds only its ``events`` array."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -756,8 +721,18 @@ def parse_trace(text: str) -> FailureTrace:
         ) from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("events"), list):
         raise TraceParseError("a trace is an object with an 'events' array")
+    check_keys(raw, ("events",), "trace")
+    return raw["events"]
+
+
+def parse_trace(text: str) -> FailureTrace:
+    """Parse a trace from its JSON text.
+
+    Raises TraceParseError for malformed input and NonConformingValueError
+    when an event's value lies outside its declared domain.
+    """
     events = tuple(
-        event_from_json(item, index) for index, item in enumerate(raw["events"])
+        event_from_json(item, index) for index, item in enumerate(trace_events(text))
     )
     return FailureTrace(events=events)
 

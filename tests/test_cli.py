@@ -399,6 +399,24 @@ def test_simulate_names_a_malformed_oracle_file(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "broken.json" in err and "unexpected" not in err
 
+@pytest.mark.parametrize("extra, words", [
+    ({"trials": 0}, ["run.json: run config: 'trials' must be positive"]),
+    ({"techniques": [{"technique": "rounding", "partitions": 1}]},
+     ["run.json: rounding needs at least 2 partitions"]),
+    ({"techniques": [{"technique": "scd_local_suppression"}]},
+     ["oracle 'birday': field 'day': special-character suppression"]),
+    ({"techniques": [{"technique": "scd_local_suppression"}], "workers": 2},
+     ["oracle 'birday': field 'day': special-character suppression"]),
+    ({"techniques": [{"per_field": {"day": {"technique": "local_suppression"}}}]},
+     ["oracle 'birday': no technique configured for field(s) month, year"]),
+], ids=["run-config", "run-config-technique", "field", "field-in-a-worker", "oracle"])
+def test_simulate_errors_name_the_file_the_oracle_and_the_field(tmp_path, capsys, extra, words):
+    cfg = run_config(tmp_path, oracles=["birday"], **extra)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert all(word in err for word in words) and "unexpected" not in err, err
+
+
 def test_report_renders_tables(tmp_path, capsys):
     cfg = run_config(tmp_path, oracles=["tasks"], trials=40)
     out = tmp_path / "results"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,27 @@ def test_rendering_interval_is_where_the_rendering_agrees(precision, data):
     assert lo <= x <= hi
     assert format_number(lo, precision) == rendered == format_number(hi, precision)
     # past either end the rendering differs ("-inf" and "inf" past the finite floats)
+    assert format_number(math.nextafter(lo, -math.inf), precision) != rendered
+    assert format_number(math.nextafter(hi, math.inf), precision) != rendered
+
+
+@pytest.mark.parametrize("x, precision", [
+    (sign * x, precision)
+    for x, precision in [
+        (sys.float_info.max, 0), (sys.float_info.max, 20),
+        (5e-324, 2), (5e-324, 20),
+        (0.0, 0), (0.0, 20),
+        (0.125, 2), (0.375, 2),  # exact half ties at an edge of "0.12" and "0.38"
+        (float(2**53 - 1), 0), (float(2**53 + 1), 0),
+        (4.6, 20), (0.1, 20),
+    ]
+    for sign in (1, -1)
+])
+def test_rendering_interval_at_the_edges(x, precision):
+    rendered = format_number(x, precision)
+    lo, hi = rendering_interval(x, precision)
+    assert lo <= x <= hi
+    assert format_number(lo, precision) == rendered == format_number(hi, precision)
     assert format_number(math.nextafter(lo, -math.inf), precision) != rendered
     assert format_number(math.nextafter(hi, math.inf), precision) != rendered
 

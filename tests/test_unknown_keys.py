@@ -62,6 +62,19 @@ def test_regenerate_rejects_unknown_keys(tmp_path, capsys, event, key, where):
                     "--out", str(tmp_path / "out.json")], capsys, repr(key), where)
 
 
+
+@pytest.mark.parametrize("command", ["anonymize", "regenerate"])
+def test_trace_rejects_unknown_top_level_keys(tmp_path, capsys, command):
+    record = {"record": "suppressed", "domain": STRING}
+    event = (typed("7", NUMERIC) if command == "anonymize" else
+             {"action": "type", "widget": "w", "record": record})
+    trace = write(tmp_path / "trace.json", {"events": [event], "metadata": {"app": "x"}})
+    argv = [command, "--trace", trace, "--out", str(tmp_path / "out.json")]
+    if command == "anonymize":
+        argv += ["--config", write(tmp_path / "cfg.json", SUPPRESS)]
+    exits_1_naming(argv, capsys, "'metadata'", f"{trace}: unknown key(s) for trace")
+
+
 TYPO = {**NUMERIC, "integr": True}
 
 
