@@ -42,6 +42,7 @@ from .model import (
     FailureTrace,
     check_keys,
     check_type,
+    decode_json,
     event_from_json,
     parse_trace,
     serialize_trace,
@@ -86,13 +87,8 @@ def _read_text(path: str) -> str:
 
 def _read_json(path: str) -> Any:
     text = _read_text(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
+    with naming(path):
+        return decode_json(text, ValidationError)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -202,9 +198,11 @@ def _load_run_config(args: argparse.Namespace) -> dict[str, Any]:
             raise ConfigError("'oracles' must be a list of corpus names or paths")
         if not isinstance(cfg["techniques"] or [], list):
             raise ConfigError("'techniques' must be a list of technique configs")
-        cfg["techniques"] = [
-            _config_or_map(item, "per_field") for item in cfg["techniques"] or []
-        ]
+        techniques = []
+        for index, item in enumerate(cfg["techniques"] or []):
+            with naming(f"techniques[{index}]"):
+                techniques.append(_config_or_map(item, "per_field"))
+        cfg["techniques"] = techniques
     return cfg
 
 

@@ -13,7 +13,6 @@ Entries live as JSON files in the packaged ``corpus/`` directory; the
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -21,7 +20,15 @@ from pathlib import Path
 from typing import Any
 
 from .errors import OracleError, ValidationError
-from .model import DataValue, check_keys, check_type, conforms, value_from_json, value_to_json
+from .model import (
+    DataValue,
+    check_keys,
+    check_type,
+    conforms,
+    decode_json,
+    value_from_json,
+    value_to_json,
+)
 from .oracles import BugOracle, evaluate, oracle_from_json, oracle_to_json
 from .techniques import TechniqueConfig, config_from_json, config_to_json
 
@@ -141,11 +148,7 @@ def available() -> list[str]:
 
 def _parse(text: str, source: str) -> CorpusEntry:
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise OracleError(f"oracle file {source!r} is not valid JSON: {exc}") from exc
-    try:
-        return entry_from_json(raw)
+        return entry_from_json(decode_json(text, OracleError))
     except ValidationError as exc:
         raise type(exc)(f"oracle file {source!r}: {exc}") from exc
 

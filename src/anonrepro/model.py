@@ -464,6 +464,17 @@ def check_type(
     raise error(f"{where}: {key!r} must be {expected}, got {raw!r}")
 
 
+def decode_json(text: str, error: type[ValidationError] = TraceParseError) -> Any:
+    """The value of the JSON document ``text``; malformed text raises
+    ``error`` naming the line and column where decoding stopped."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+
+
 def check_keys(
     raw: Mapping[str, Any],
     known: Iterable[str],
@@ -713,12 +724,7 @@ def event_from_json(raw: Any, index: int, payload: str = "data") -> Event:
 def trace_events(text: str) -> list[Any]:
     """The raw events of a trace, or of an anonymized trace, from its JSON
     text: an object that holds only its ``events`` array."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    raw = decode_json(text)
     if not isinstance(raw, dict) or not isinstance(raw.get("events"), list):
         raise TraceParseError("a trace is an object with an 'events' array")
     check_keys(raw, ("events",), "trace")

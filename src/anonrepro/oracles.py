@@ -11,7 +11,9 @@ to JSON so oracles can live in data files.
 per-field regeneration distribution; ``technique_distribution`` derives that
 distribution for technique configurations whose output space is finite and
 small enough to enumerate (integer and categorical domains generally;
-strings only when short over a small alphabet).
+strings only when short over a small alphabet, for now).  A string field
+read alone is not listed: its probability is a count of the strings that a
+product of small automata, one per predicate leaf, accepts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -486,18 +488,56 @@ def evaluate(oracle: BugOracle, assignment: Mapping[str, DataValue]) -> bool:
 # exact enumeration
 
 
-@dataclass(frozen=True)
 class FiniteDistribution:
     """A finite support with outcome probabilities (sums to 1): exact
-    ``Fraction``s from technique_distribution, or floats read exactly."""
+    ``Fraction``s from technique_distribution, or floats read exactly.
 
-    outcomes: tuple[tuple[DataValue, Fraction | float], ...]
+    A string field's distribution from technique_distribution keeps its
+    ``Chars`` plan and lists ``outcomes`` only when they are first read;
+    ``exhaustive_probability`` counts its strings instead of listing them.
+    Two distributions are equal when their outcomes are.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        total = math.fsum(p for _, p in self.outcomes)
-        if not self.outcomes or abs(total - 1.0) > 1e-9:
+    __slots__ = ("_outcomes", "_plan")
+
+    def __init__(self, outcomes: Iterable[tuple[DataValue, Fraction | float]]) -> None:
+        outcomes = tuple(outcomes)
+        total = math.fsum(p for _, p in outcomes)
+        if not outcomes or abs(total - 1.0) > 1e-9:
             raise OracleError(f"outcome probabilities sum to {total}, not 1")
+        self._outcomes: tuple | None = outcomes
+        self._plan: Chars | None = None
+
+    @classmethod
+    def _of_strings(cls, plan: Chars) -> "FiniteDistribution":
+        """The uniform-length, uniform-character strings of ``plan``, unlisted."""
+        dist = cls.__new__(cls)
+        dist._outcomes, dist._plan = None, plan
+        return dist
+
+    @property
+    def outcomes(self) -> tuple[tuple[DataValue, Fraction | float], ...]:
+        if self._outcomes is None:
+            self._outcomes = _string_support(self._plan)  # type: ignore[arg-type]
+        return self._outcomes
+
+    def _size(self) -> int:
+        """How many outcomes the support holds, without listing a plan's."""
+        if self._outcomes is None:
+            plan = self._plan
+            return sum(len(plan.alphabet) ** n for n in range(plan.lo, plan.hi + 1))  # type: ignore[union-attr]
+        return len(self._outcomes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.outcomes == other.outcomes  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.outcomes,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(outcomes={self.outcomes!r})"
 
 
 def _uniform(values: Iterable[DataValue]) -> FiniteDistribution:
@@ -506,22 +546,28 @@ def _uniform(values: Iterable[DataValue]) -> FiniteDistribution:
     return FiniteDistribution(tuple((v, p) for v in vals))
 
 
-def _string_support(plan: Chars) -> FiniteDistribution:
+def _strings(plan: Chars) -> FiniteDistribution:
+    """The distribution of ``plan``'s strings, within the enumeration caps."""
+    if len(plan.alphabet) > STRING_ENUM_MAX_ALPHABET:
+        raise EnumerationInfeasibleError(
+            f"alphabet of {len(plan.alphabet)} characters is too large to enumerate"
+        )
+    if plan.hi > STRING_ENUM_MAX_LENGTH:
+        raise EnumerationInfeasibleError(
+            f"strings of length {plan.hi} are too long to enumerate"
+        )
+    return FiniteDistribution._of_strings(plan)
+
+
+def _string_support(plan: Chars) -> tuple[tuple[DataValue, Fraction], ...]:
+    """Every string ``plan`` can draw, with its probability."""
     alphabet, lo, hi = plan.alphabet, plan.lo, plan.hi
-    if len(alphabet) > STRING_ENUM_MAX_ALPHABET:
-        raise EnumerationInfeasibleError(
-            f"alphabet of {len(alphabet)} characters is too large to enumerate"
-        )
-    if hi > STRING_ENUM_MAX_LENGTH:
-        raise EnumerationInfeasibleError(
-            f"strings of length {hi} are too long to enumerate"
-        )
     outcomes: list[tuple[DataValue, Fraction]] = []
     for length in range(lo, hi + 1):
         string_weight = Fraction(1, (hi - lo + 1) * len(alphabet) ** length)
         for chars in itertools.product(alphabet, repeat=length):
             outcomes.append((Text("".join(chars)), string_weight))
-    return FiniteDistribution(tuple(outcomes))
+    return tuple(outcomes)
 
 
 def _noise_int_distribution(
@@ -568,7 +614,7 @@ def technique_distribution(
     if isinstance(plan, Pick):
         return _uniform(map(Categorical, plan.labels))
     if isinstance(plan, Chars):
-        return _string_support(plan)
+        return _strings(plan)
     if isinstance(plan, Grid) and domain.integer:  # type: ignore[union-attr]
         return _uniform(Continuous(float(i), 0) for i in range(plan.lo, plan.hi + 1))
     raise EnumerationInfeasibleError("real-valued domains have no finite enumeration")
@@ -597,36 +643,168 @@ def _components(expr: And | Or) -> list[OracleExpr]:
     return [m[0] if len(m) == 1 else type(expr)(tuple(m)) for _, m in groups]
 
 
-def _joint(fields: list[str], test: Callable[[dict], bool], weights: Mapping) -> Fraction:
+class _Leaf(NamedTuple):
+    """A string leaf's automaton: the state before the first character, the
+    state after reading a character at a position, and whether an end state
+    satisfies the leaf."""
+
+    start: Any
+    step: Callable[[Any, str, int], Any]
+    accepts: Callable[[Any], bool]
+
+
+def _fixed(answer: bool) -> _Leaf:
+    """A leaf decided by the length alone."""
+    return _Leaf(answer, lambda state, char, position: state, bool)
+
+
+def _while(holds: Callable[[str, int], bool]) -> _Leaf:
+    """A leaf that holds while every character read passes ``holds``."""
+    return _Leaf(True, lambda ok, char, position: ok and holds(char, position), bool)
+
+
+def _kmp(pattern: str, absorbing: bool) -> _Leaf:
+    """The KMP automaton of a non-empty ``pattern``: the state is the length
+    of the longest prefix of it that the text read so far ends with.  An
+    ``absorbing`` match holds once reached (contains); otherwise it must
+    hold at the end (ends_with)."""
+    m = len(pattern)
+    border = [0] * m  # border[q]: the longest proper border of pattern[:q + 1]
+    k = 0
+    for q in range(1, m):
+        while k and pattern[q] != pattern[k]:
+            k = border[k - 1]
+        if pattern[q] == pattern[k]:
+            k += 1
+        border[q] = k
+
+    def step(q: int, char: str, position: int) -> int:
+        if q == m:
+            if absorbing:
+                return m
+            q = border[m - 1]
+        while q and pattern[q] != char:
+            q = border[q - 1]
+        return q + 1 if pattern[q] == char else 0
+    return _Leaf(0, step, lambda q: q == m)
+
+
+def _decimal_literal(separator: str) -> _Leaf:
+    """``_is_decimal_literal`` for strings of at least 2 characters: the
+    separators seen, capped at 2, and whether any other character is not a
+    digit."""
+    def step(state: tuple[int, bool], char: str, position: int) -> tuple[int, bool]:
+        seen, stray = state
+        if char == separator:
+            return min(seen + 1, 2), stray
+        return seen, stray or not "0" <= char <= "9"
+    return _Leaf((0, False), step, lambda state: state == (1, False))
+
+
+def _leaf_automaton(expr: OracleExpr, length: int) -> _Leaf:
+    """``evaluate_expr`` of a string leaf, as an automaton over strings of
+    ``length`` characters."""
+    if isinstance(expr, Contains):
+        return _kmp(expr.substring, True) if expr.substring else _fixed(True)
+    if isinstance(expr, EndsWith):
+        return _kmp(expr.suffix, False)
+    if isinstance(expr, CharAt):
+        at, char = expr.index + length if expr.index < 0 else expr.index, expr.char
+        if not 0 <= at < length:
+            return _fixed(False)
+        return _while(lambda c, position: position != at or c == char)
+    if isinstance(expr, LengthGt):
+        return _fixed(length > expr.length)
+    if isinstance(expr, MatchesClass):
+        allowed = _char_class_set(expr.char_class)
+        return _while(lambda c, position: c in allowed)
+    if isinstance(expr, Equals) and isinstance(expr.value, str):
+        text = expr.value
+        if len(text) != length:
+            return _fixed(False)
+        return _while(lambda c, position: c == text[position])
+    if isinstance(expr, DecimalSeparatorIs):
+        return _decimal_literal(expr.separator) if length >= 2 else _fixed(False)
+    raise EvaluationError(f"predicate node {expr!r} does not test a string")
+
+
+def _product(expr: OracleExpr, length: int, leaves: list[_Leaf]) -> Callable[[tuple], bool]:
+    """Whether a tuple of leaf end states satisfies ``expr``; appends the
+    automaton of each leaf of ``expr`` to ``leaves``, in order."""
+    if isinstance(expr, (And, Or)):
+        parts = [_product(arg, length, leaves) for arg in expr.args]
+        join = all if isinstance(expr, And) else any
+        return lambda states: join(part(states) for part in parts)
+    if isinstance(expr, Not):
+        inner = _product(expr.arg, length, leaves)
+        return lambda states: not inner(states)
+    leaf, k = _leaf_automaton(expr, length), len(leaves)
+    leaves.append(leaf)
+    return lambda states: leaf.accepts(states[k])
+
+
+def _string_mass(expr: OracleExpr, plan: Chars) -> Fraction:
+    """Mass of the strings of ``plan`` that satisfy ``expr``, a predicate
+    over that field alone, counted rather than listed.
+
+    For each length, a pass over the positions counts the strings that
+    reach each tuple of per-leaf automaton states.  Every length in
+    [lo, hi] is equally likely and every string of a length is too.
+    """
+    alphabet = plan.alphabet
+    mass = Fraction(0)
+    for length in range(plan.lo, plan.hi + 1):
+        leaves: list[_Leaf] = []
+        accepts = _product(expr, length, leaves)
+        counts: dict[tuple, int] = {tuple(leaf.start for leaf in leaves): 1}
+        for position in range(length):
+            reached: dict[tuple, int] = defaultdict(int)
+            for states, n in counts.items():
+                for char in alphabet:
+                    reached[tuple(leaf.step(state, char, position)
+                                  for leaf, state in zip(leaves, states))] += n
+            counts = reached
+        accepted = sum(n for states, n in counts.items() if accepts(states))
+        mass += Fraction(accepted, len(alphabet) ** length)
+    return mass / (plan.hi - plan.lo + 1)
+
+
+def _joint(fields: list[str], test: Callable[[dict], bool],
+           distributions: Mapping[str, FiniteDistribution]) -> Fraction:
     """Mass of the joint points of ``fields`` that pass ``test``."""
+    weights = [_integer_weights(distributions[f].outcomes) for f in fields]
     assignment: dict[str, DataValue] = {}
     total = 0
-    for combo in itertools.product(*(weights[f][1] for f in fields)):
+    for combo in itertools.product(*(pairs for _, pairs in weights)):
         weight = 1
         for name, (value, numerator) in zip(fields, combo):
             assignment[name] = value
             weight *= numerator
         if test(assignment):
             total += weight
-    return Fraction(total, math.prod(weights[f][0] for f in fields))
+    return Fraction(total, math.prod(denominator for denominator, _ in weights))
 
 
-def _probability(expr: OracleExpr, weights: Mapping) -> Fraction:
-    """Exact probability of ``expr``, factorized over independent fields."""
+def _probability(expr: OracleExpr, distributions: Mapping[str, FiniteDistribution]) -> Fraction:
+    """Exact probability of ``expr``, factorized over independent fields; a
+    node over one string field with a plan is counted, not walked."""
     if isinstance(expr, Not):
-        return 1 - _probability(expr.arg, weights)
+        return 1 - _probability(expr.arg, distributions)
     if isinstance(expr, IsLeapDay) and len(_fields_of(expr)) == 3:
         tests = {expr.day: lambda x: x == 29, expr.month: lambda x: x == 2,
                  expr.year: lambda x: is_gregorian_leap_year(int(x))}
-        return math.prod(_joint([f], lambda a, f=f: tests[f](_number(a[f], f)), weights)
-                         for f in tests)
+        return math.prod(
+            _joint([f], lambda a, f=f: tests[f](_number(a[f], f)), distributions)
+            for f in tests)
     if isinstance(expr, (And, Or)) and len(split := _components(expr)) > 1:
-        parts = [_probability(part, weights) for part in split]
+        parts = [_probability(part, distributions) for part in split]
         if isinstance(expr, And):
             return math.prod(parts)
         return 1 - math.prod(1 - p for p in parts)
-    fields = [f for f in weights if f in _fields_of(expr)]
-    return _joint(fields, functools.partial(evaluate_expr, expr), weights)
+    fields = [f for f in distributions if f in _fields_of(expr)]
+    if len(fields) == 1 and (plan := distributions[fields[0]]._plan) is not None:
+        return _string_mass(expr, plan)
+    return _joint(fields, functools.partial(evaluate_expr, expr), distributions)
 
 
 def _integer_weights(outcomes: tuple) -> tuple[int, list[tuple[DataValue, int]]]:
@@ -645,20 +823,20 @@ def exhaustive_probability(
 
     Every oracle field needs a distribution; the joint support of all fields
     must stay within ENUMERATION_LIMIT points.  The probability is a rational
-    rounded once to float; only the fields the predicate reads are enumerated.
+    rounded once to float; only the fields the predicate reads are enumerated,
+    and a string field that a node reads alone is counted instead.
     """
     for name, _ in oracle.fields:
         if name not in distributions:
             raise EvaluationError(f"no distribution for oracle field {name!r}")
-    size = math.prod(len(distributions[n].outcomes) for n in oracle.field_names)
+    size = math.prod(distributions[n]._size() for n in oracle.field_names)
     if size > ENUMERATION_LIMIT:
         raise EnumerationInfeasibleError(
             f"joint support of {size} points exceeds the {ENUMERATION_LIMIT} cap"
         )
     read = _fields_of(oracle.predicate)
-    weights = {name: _integer_weights(distributions[name].outcomes)
-               for name in oracle.field_names if name in read}
-    exact = _probability(oracle.predicate, weights)
+    exact = _probability(oracle.predicate,
+                         {name: distributions[name] for name in oracle.field_names if name in read})
     return float(min(max(exact, 0), 1))
 
 

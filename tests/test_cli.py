@@ -402,19 +402,41 @@ def test_simulate_names_a_malformed_oracle_file(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("extra, words", [
     ({"trials": 0}, ["run.json: run config: 'trials' must be positive"]),
     ({"techniques": [{"technique": "rounding", "partitions": 1}]},
-     ["run.json: rounding needs at least 2 partitions"]),
+     ["run.json: techniques[0]: rounding needs at least 2 partitions"]),
+    ({"techniques": [{"technique": "rounding", "partitions": 3},
+                     {"technique": "rounding", "partitions": 1}]},
+     ["run.json: techniques[1]: rounding needs at least 2 partitions"]),
     ({"techniques": [{"technique": "scd_local_suppression"}]},
      ["oracle 'birday': field 'day': special-character suppression"]),
     ({"techniques": [{"technique": "scd_local_suppression"}], "workers": 2},
      ["oracle 'birday': field 'day': special-character suppression"]),
     ({"techniques": [{"per_field": {"day": {"technique": "local_suppression"}}}]},
      ["oracle 'birday': no technique configured for field(s) month, year"]),
-], ids=["run-config", "run-config-technique", "field", "field-in-a-worker", "oracle"])
+], ids=["run-config", "run-config-technique", "run-config-second-technique", "field", "field-in-a-worker", "oracle"])
 def test_simulate_errors_name_the_file_the_oracle_and_the_field(tmp_path, capsys, extra, words):
     cfg = run_config(tmp_path, oracles=["birday"], **extra)
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert all(word in err for word in words) and "unexpected" not in err, err
+
+
+def test_json_errors_name_the_file_line_and_column(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text('{"trials": \n')
+    (tmp_path / "trace.json").write_text('{"events": [\n')
+    (tmp_path / "broken.json").write_text('{"name": "broken",\n')
+    (tmp_path / "oracles.json").write_text(json.dumps({"oracles": ["broken.json"]}))
+    for argv, message in [
+        (["simulate", "--config", "run.json", "--out", "o"],
+         "run.json: invalid JSON at line 2, column 1: Expecting value"),
+        (["regenerate", "--trace", "trace.json", "--out", "o.json"],
+         "trace.json: invalid JSON at line 2, column 1: Expecting value"),
+        (["simulate", "--config", "oracles.json", "--out", "o"],
+         "oracle file 'broken.json': invalid JSON at line 2, column 1: "
+         "Expecting property name enclosed in double quotes"),
+    ]:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
 def test_report_renders_tables(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from anonrepro import corpus
+from anonrepro import corpus, oracles
 from anonrepro.errors import (
     EnumerationInfeasibleError,
     EvaluationError,
@@ -435,6 +435,124 @@ def test_factorized_enumeration_equals_joint_sum(case):
         if evaluate(oracle, {n: value for n, (value, _) in zip(names, combo)}):
             brute += math.prod(weight for _, weight in combo)
     assert exhaustive_probability(oracle, distributions) == float(brute)
+
+
+# ---------------------------------------------------------------------------
+# counted string probabilities
+
+
+STRING_CHARS = "0123456789.,:abXY"
+
+
+def _string_case(alphabet, lo, hi):
+    """The oracle domain and distribution of a suppressed string over
+    ``alphabet`` with a uniform length in [lo, hi]."""
+    domain = StringDomain(f"[{alphabet}]", lo, hi)
+    dist = technique_distribution(LocalSuppressionConfig(), Text(alphabet[0] * lo), domain)
+    return domain, dist
+
+
+def _counted_equals_listed(predicate, alphabet, lo, hi):
+    domain, dist = _string_case(alphabet, lo, hi)
+    oracle = one_field(domain, predicate)  # checks that the predicate is well typed
+    counted = oracles._string_mass(predicate, dist._plan)
+    listed = sum(p for value, p in dist.outcomes if evaluate_expr(predicate, {"x": value}))
+    assert counted == listed, (predicate, alphabet, lo, hi)
+    assert exhaustive_probability(oracle, {"x": dist}) == float(listed)
+    return counted
+
+
+def _string_predicates(alphabet):
+    """Predicates over "x" whose characters mostly come from ``alphabet``."""
+    char = st.sampled_from(alphabet * 3 + STRING_CHARS)
+    text = st.lists(char, max_size=3).map("".join)
+    leaves = st.one_of(
+        st.builds(Contains, st.just("x"), text),
+        st.builds(EndsWith, st.just("x"), st.lists(char, min_size=1, max_size=3).map("".join)),
+        st.builds(CharAt, st.just("x"), st.integers(-5, 5), char),
+        st.builds(LengthGt, st.just("x"), st.integers(-1, 5)),
+        st.builds(MatchesClass, st.just("x"),
+                  st.lists(char, min_size=1, max_size=4).map(lambda c: f"[{''.join(c)}]")),
+        st.builds(Equals, st.just("x"), st.lists(char, max_size=4).map("".join)),
+        st.builds(DecimalSeparatorIs, st.just("x"), char),
+    )
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(And, st.lists(children, min_size=1, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(children, min_size=1, max_size=3).map(tuple)),
+    ), max_leaves=4)
+
+
+@st.composite
+def _string_mass_cases(draw):
+    alphabet = "".join(sorted(draw(st.sets(st.sampled_from(STRING_CHARS), min_size=1, max_size=6))))
+    lo, hi = sorted(draw(st.lists(st.integers(0, 4), min_size=2, max_size=2)))
+    return draw(_string_predicates(alphabet)), alphabet, lo, hi
+
+
+@given(_string_mass_cases())
+@settings(max_examples=300, deadline=None)
+def test_counted_string_mass_equals_listed_support(case):
+    _counted_equals_listed(*case)
+
+
+@pytest.mark.parametrize("predicate, alphabet, lo, hi, expected", [
+    (Contains("x", ""), "ab", 0, 2, Fraction(1)),
+    (Contains("x", "aab"), "ab", 4, 4, Fraction(4, 16)),  # "aaab" needs the border "a"
+    (Not(Contains("x", "aab")), "ab", 0, 4, None),
+    (CharAt("x", -1, "a"), "ab", 0, 3, Fraction(1, 2) * Fraction(3, 4)),  # "" fails
+    (And((CharAt("x", -1, "a"), CharAt("x", 0, "b"))), "ab", 0, 3, Fraction(1, 8)),
+    (CharAt("x", -5, "a"), "ab", 0, 4, Fraction(0)),
+    (CharAt("x", -3, "a"), "ab", 2, 3, Fraction(1, 4)),  # only length 3 reaches it
+    (CharAt("x", 4, "a"), "ab", 0, 4, Fraction(0)),  # past the end of every length
+    (DecimalSeparatorIs("x", "5"), "015", 0, 4, None),   # a separator that is a digit
+    (DecimalSeparatorIs("x", "."), ".0", 0, 2, Fraction(2, 4) / 3),  # ".0", "0."
+    (And((EndsWith("x", "aa"), Not(Equals("x", "aaa")))), "ab", 0, 3, None),
+    (Or((MatchesClass("x", "[a]"), LengthGt("x", 1))), "ab", 0, 2, Fraction(5, 6)),
+], ids=["contains-empty", "contains-border", "not-contains", "char-at-last", "char-at-last-and-first", "char-at-minus-5",
+        "char-at-minus-3", "char-at-past-end", "digit-separator", "dot-separator",
+        "ends-with-and-not-equals", "matches-or-longer"])
+def test_counted_string_mass_fixed_cases(predicate, alphabet, lo, hi, expected):
+    counted = _counted_equals_listed(predicate, alphabet, lo, hi)
+    if expected is not None:
+        assert counted == expected
+
+
+def test_string_distribution_lists_its_outcomes_only_when_read():
+    domain, dist = _string_case("0:", 1, 2)
+    assert dist._outcomes is None and dist._size() == 2 + 4
+    listed = FiniteDistribution(oracles._string_support(dist._plan))
+    assert dist == listed and hash(dist) == hash(listed) and repr(dist) == repr(listed)
+    assert dist.outcomes == listed.outcomes
+    assert [v.value for v, _ in dist.outcomes] == ["0", ":", "00", "0:", ":0", "::"]
+    assert dist != FiniteDistribution(((Text("0"), 1.0),))
+    with pytest.raises(AttributeError):
+        dist.outcomes = ()
+
+
+CORPUS_STRING_MASSES = {
+    "food_scale_droid#0": 1 - Fraction(11, 12) ** 4,
+    "contact_diary#0": Fraction(21, 121),
+    "grow_tracker_text#0": 1 - Fraction(11, 12) ** 3,
+}
+
+
+def test_exhaustive_probability_counts_strings_and_never_lists_them(monkeypatch):
+    def listing(plan):
+        raise AssertionError(f"listed the strings of {plan}")
+
+    monkeypatch.setattr(oracles, "_string_support", listing)
+    entries = {entry.name: entry for entry in corpus.load_all()}
+    for key, expected in CORPUS_STRING_MASSES.items():
+        name, index = key.split("#")
+        entry = entries[name]
+        cfg = entry.configs[int(index)]
+        distributions = {
+            field: technique_distribution(cfg, entry.original_assignment[field], domain)
+            for field, domain in entry.oracle.fields
+        }
+        assert exhaustive_probability(entry.oracle, distributions) == float(expected), key
+    test_exhaustive_probability_requires_all_fields_and_respects_cap()
 
 
 # ---------------------------------------------------------------------------
