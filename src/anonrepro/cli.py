@@ -8,14 +8,17 @@ Subcommands:
                   verification against exhaustive enumeration
 * ``report``      re-render a results CSV as an aligned table
 
-Exit codes: 0 success, 1 invalid input, 2 runtime failure.
+Exit codes: 0 success, 1 invalid input, 2 runtime failure.  With
+``ANONREPRO_DEBUG=1`` an unexpected error also prints its traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import os
 import sys
+import traceback
 from collections import Counter
 from contextlib import nullcontext
 from pathlib import Path
@@ -355,7 +358,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AnonReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - last resort
+    except Exception as exc:  # last resort
+        if os.environ.get("ANONREPRO_DEBUG") == "1":
+            traceback.print_exc()
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 2
 

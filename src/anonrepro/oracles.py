@@ -13,11 +13,14 @@ distribution for technique configurations whose output space is finite and
 small enough to enumerate (integer and categorical domains generally;
 strings only when short over a small alphabet, for now).  A string field
 read alone is not listed: its probability is a count of the strings that a
-product of small automata, one per predicate leaf, accepts.
+product of small automata, one per predicate leaf, accepts.  Nor is an
+integer field: its support is a few runs of equally likely integers, walked
+by the cells on which the predicate's leaves are constant.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -64,7 +67,6 @@ from .techniques import (
     Span,
     TechniqueConfig,
     field_plan,
-    integer_bounds,
     text_codes,
 )
 
@@ -488,45 +490,65 @@ def evaluate(oracle: BugOracle, assignment: Mapping[str, DataValue]) -> bool:
 # exact enumeration
 
 
+class _Run(NamedTuple):
+    """The integers first..last, each of probability ``weight``."""
+
+    first: int
+    last: int
+    weight: Fraction
+
+
+def _check_total(total: Fraction | float) -> None:
+    if abs(total - 1) > 1e-9:
+        raise OracleError(f"outcome probabilities sum to {total}, not 1")
+
+
 class FiniteDistribution:
     """A finite support with outcome probabilities (sums to 1): exact
     ``Fraction``s from technique_distribution, or floats read exactly.
 
-    A string field's distribution from technique_distribution keeps its
-    ``Chars`` plan and lists ``outcomes`` only when they are first read;
-    ``exhaustive_probability`` counts its strings instead of listing them.
-    Two distributions are equal when their outcomes are.
+    A distribution from technique_distribution may hold its support in
+    compact form and list ``outcomes`` only when they are first read: a
+    string field keeps its ``Chars`` plan, an integer field its runs of
+    equally likely integers (at most three).  ``exhaustive_probability``
+    counts the strings and walks the integers by cells instead of listing
+    them.  Two distributions are equal when their outcomes are.
     """
 
-    __slots__ = ("_outcomes", "_plan")
+    __slots__ = ("_outcomes", "_compact")
 
     def __init__(self, outcomes: Iterable[tuple[DataValue, Fraction | float]]) -> None:
         outcomes = tuple(outcomes)
-        total = math.fsum(p for _, p in outcomes)
-        if not outcomes or abs(total - 1.0) > 1e-9:
-            raise OracleError(f"outcome probabilities sum to {total}, not 1")
+        _check_total(math.fsum(p for _, p in outcomes))
         self._outcomes: tuple | None = outcomes
-        self._plan: Chars | None = None
+        self._compact: Chars | tuple[_Run, ...] | None = None
 
     @classmethod
-    def _of_strings(cls, plan: Chars) -> "FiniteDistribution":
-        """The uniform-length, uniform-character strings of ``plan``, unlisted."""
+    def _unlisted(cls, compact: Chars | tuple[_Run, ...]) -> "FiniteDistribution":
+        """The strings of a ``Chars`` plan, uniform in length and in each
+        character, or the integers of runs; listed when first read."""
+        if not isinstance(compact, Chars):
+            _check_total(sum((run.last - run.first + 1) * run.weight for run in compact))
         dist = cls.__new__(cls)
-        dist._outcomes, dist._plan = None, plan
+        dist._outcomes, dist._compact = None, compact
         return dist
 
     @property
     def outcomes(self) -> tuple[tuple[DataValue, Fraction | float], ...]:
         if self._outcomes is None:
-            self._outcomes = _string_support(self._plan)  # type: ignore[arg-type]
+            compact = self._compact
+            listing = _string_support if isinstance(compact, Chars) else _run_support
+            self._outcomes = listing(compact)  # type: ignore[arg-type]
         return self._outcomes
 
     def _size(self) -> int:
-        """How many outcomes the support holds, without listing a plan's."""
-        if self._outcomes is None:
-            plan = self._plan
-            return sum(len(plan.alphabet) ** n for n in range(plan.lo, plan.hi + 1))  # type: ignore[union-attr]
-        return len(self._outcomes)
+        """How many outcomes the support holds, without listing a compact one."""
+        compact = self._compact
+        if isinstance(compact, Chars):
+            return sum(len(compact.alphabet) ** n for n in range(compact.lo, compact.hi + 1))
+        if compact is not None:
+            return sum(run.last - run.first + 1 for run in compact)
+        return len(self._outcomes)  # type: ignore[arg-type]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -540,12 +562,6 @@ class FiniteDistribution:
         return f"{type(self).__qualname__}(outcomes={self.outcomes!r})"
 
 
-def _uniform(values: Iterable[DataValue]) -> FiniteDistribution:
-    vals = list(values)
-    p = Fraction(1, len(vals))
-    return FiniteDistribution(tuple((v, p) for v in vals))
-
-
 def _strings(plan: Chars) -> FiniteDistribution:
     """The distribution of ``plan``'s strings, within the enumeration caps."""
     if len(plan.alphabet) > STRING_ENUM_MAX_ALPHABET:
@@ -556,7 +572,7 @@ def _strings(plan: Chars) -> FiniteDistribution:
         raise EnumerationInfeasibleError(
             f"strings of length {plan.hi} are too long to enumerate"
         )
-    return FiniteDistribution._of_strings(plan)
+    return FiniteDistribution._unlisted(plan)
 
 
 def _string_support(plan: Chars) -> tuple[tuple[DataValue, Fraction], ...]:
@@ -570,24 +586,35 @@ def _string_support(plan: Chars) -> tuple[tuple[DataValue, Fraction], ...]:
     return tuple(outcomes)
 
 
-def _noise_int_distribution(
-    value: float, domain: NumericDomain, noise: float
-) -> FiniteDistribution:
-    # noise_interval in exact arithmetic, with the noise read as its decimal
+def _run_support(runs: tuple[_Run, ...]) -> tuple[tuple[DataValue, Fraction], ...]:
+    """Every integer of ``runs``, in order, with its probability."""
+    return tuple(_cells(runs, None))
+
+
+def _noise_runs(value: float, low: float, high: float, noise: float,
+                clamp: tuple[int, int]) -> tuple[_Run, ...]:
+    """Integer noise on ``value`` in the domain [low, high]: a uniform draw
+    from the noise interval, rounded half-up and clamped into ``clamp``'s
+    inclusive bounds, in exact arithmetic with the noise read as its
+    decimal.
+
+    Round half-up maps x to j iff x is in [j - 1/2, j + 1/2).  Every
+    integer strictly between the first and the last outcome covers a whole
+    unit of the interval; the first takes the mass below its upper edge
+    and the last the mass above its lower edge.
+    """
     noise_q, value_q = Fraction(repr(noise)), Fraction(value)
-    lo = value_q - noise_q * (value_q - Fraction(domain.min))
-    hi = value_q + noise_q * (Fraction(domain.max) - value_q)
-    lo_d, hi_d = integer_bounds(domain.min, domain.max, domain.max_inclusive)
-    masses: dict[int, Fraction] = defaultdict(Fraction)
-    half = Fraction(1, 2)
-    # round half-up maps x to j iff x is in [j - 0.5, j + 0.5)
-    for j in range(math.floor(lo + half), math.floor(hi + half) + 1):
-        overlap = min(hi, j + half) - max(lo, j - half)
-        if overlap > 0:
-            masses[min(max(j, lo_d), hi_d)] += overlap / (hi - lo)
-    return FiniteDistribution(
-        tuple((Continuous(float(j), 0), p) for j, p in sorted(masses.items()))
-    )
+    lo = value_q - noise_q * (value_q - Fraction(low))
+    hi = value_q + noise_q * (Fraction(high) - value_q)
+    width, half = hi - lo, Fraction(1, 2)
+    first, last = (min(max(math.floor(x + half), clamp[0]), clamp[1]) for x in (lo, hi))
+    if last > first and last - half >= hi:  # hi lies on last's lower edge
+        last -= 1
+    if first == last:
+        return (_Run(first, last, Fraction(1)),)
+    inner = (_Run(first + 1, last - 1, 1 / width),) if last - first > 1 else ()
+    return (_Run(first, first, (first + half - lo) / width), *inner,
+            _Run(last, last, (hi - (last - half)) / width))
 
 
 def technique_distribution(
@@ -607,16 +634,19 @@ def technique_distribution(
             "special-character placement is not enumerated"
         )
     plan = field_plan(value, domain, cfg)
-    if isinstance(plan, Span) and plan.clamp:  # integer noise, in exact arithmetic
-        return _noise_int_distribution(value.value, domain, cfg.noise)  # type: ignore
+    if isinstance(plan, Span) and plan.clamp:  # integer noise
+        return FiniteDistribution._unlisted(_noise_runs(
+            value.value, domain.min, domain.max, cfg.noise, plan.clamp))  # type: ignore
     if isinstance(plan, Constant):
         return FiniteDistribution(((plan.value, Fraction(1)),))
     if isinstance(plan, Pick):
-        return _uniform(map(Categorical, plan.labels))
+        p = Fraction(1, len(plan.labels))
+        return FiniteDistribution((Categorical(label), p) for label in plan.labels)
     if isinstance(plan, Chars):
         return _strings(plan)
     if isinstance(plan, Grid) and domain.integer:  # type: ignore[union-attr]
-        return _uniform(Continuous(float(i), 0) for i in range(plan.lo, plan.hi + 1))
+        return FiniteDistribution._unlisted(
+            (_Run(plan.lo, plan.hi, Fraction(1, plan.hi - plan.lo + 1)),))
     raise EnumerationInfeasibleError("real-valued domains have no finite enumeration")
 
 
@@ -769,10 +799,86 @@ def _string_mass(expr: OracleExpr, plan: Chars) -> Fraction:
     return mass / (plan.hi - plan.lo + 1)
 
 
+#: Integers below this magnitude are exact floats, so a leaf reads an
+#: integer x as x itself.
+_EXACT_INTEGERS = 2**53
+
+
+def _cuts(expr: OracleExpr, cuts: dict | None = None) -> dict[str, set[int] | None]:
+    """For each field ``expr`` reads, the integers x at which one of its
+    leaves may tell x - 1 from x, so that every leaf is constant on the
+    integers between consecutive cuts (below ``_EXACT_INTEGERS``); None for
+    a field that a leaf may tell apart at any integer (the leap-year test,
+    a string probe)."""
+    cuts = {} if cuts is None else cuts
+    if isinstance(expr, (And, Or)):
+        for arg in expr.args:
+            _cuts(arg, cuts)
+        return cuts
+    if isinstance(expr, Not):
+        return _cuts(expr.arg, cuts)
+    at: tuple[tuple[str, tuple[int, ...] | None], ...]
+    if isinstance(expr, IsLeapDay):
+        at = ((expr.day, (29, 30)), (expr.month, (2, 3)), (expr.year, None))
+    elif isinstance(expr, InRange):  # an infinite bound holds or fails at every integer
+        edges = []
+        if abs(expr.lo) != math.inf:
+            edges.append(math.ceil(expr.lo))
+        if abs(expr.hi) != math.inf:
+            edges.append(math.floor(expr.hi) + 1)
+        at = ((expr.field, tuple(edges)),)
+    elif isinstance(expr, Equals) and not isinstance(expr.value, str):
+        v = expr.value  # no integer below _EXACT_INTEGERS equals a larger float(v)
+        exact = abs(v) < _EXACT_INTEGERS and float(v).is_integer()
+        at = ((expr.field, (int(v), int(v) + 1) if exact else ()),)
+    elif isinstance(expr, DecimalSeparatorIs):  # reads only the precision, 0 for integers
+        at = ((expr.field, ()),)
+    else:
+        at = ((expr.field, None),)
+    for field, points in at:
+        if points is None or cuts.get(field, ()) is None:
+            cuts[field] = None
+        else:
+            cuts.setdefault(field, set()).update(points)
+    return cuts
+
+
+def _cells(runs: tuple[_Run, ...], cuts: set[int] | None) -> list[tuple[DataValue, Fraction]]:
+    """One (value, mass) pair per cell of ``runs``: the integers between
+    consecutive ``cuts``, at the cell's first integer with the whole cell's
+    mass; one per integer, in order, when ``cuts`` is None or a run reaches
+    ``_EXACT_INTEGERS``."""
+    if cuts is None or any(max(-run.first, run.last) >= _EXACT_INTEGERS for run in runs):
+        return [(Continuous(float(j), 0), run.weight)
+                for run in runs for j in range(run.first, run.last + 1)]
+    edges = sorted(cuts)
+    cells: dict[int, list] = {}  # cell index -> [first integer, mass]
+    for run in runs:
+        start = run.first
+        while start <= run.last:
+            k = bisect.bisect_right(edges, start)
+            end = run.last if k == len(edges) else min(run.last, edges[k] - 1)
+            mass = (end - start + 1) * run.weight
+            if k in cells:
+                cells[k][1] += mass
+            else:
+                cells[k] = [start, mass]
+            start = end + 1
+    return [(Continuous(float(j), 0), mass) for j, mass in cells.values()]
+
+
 def _joint(fields: list[str], test: Callable[[dict], bool],
-           distributions: Mapping[str, FiniteDistribution]) -> Fraction:
-    """Mass of the joint points of ``fields`` that pass ``test``."""
-    weights = [_integer_weights(distributions[f].outcomes) for f in fields]
+           distributions: Mapping[str, FiniteDistribution],
+           cuts: Mapping[str, set[int] | None]) -> Fraction:
+    """Mass of the joint points of ``fields`` that pass ``test``, where an
+    integer field is walked by the cells between its ``cuts``, on which
+    ``test`` is constant."""
+    def walk(field: str) -> Iterable[tuple[DataValue, Fraction | float]]:
+        compact = distributions[field]._compact
+        if compact is None or isinstance(compact, Chars):
+            return distributions[field].outcomes
+        return _cells(compact, cuts[field])
+    weights = [_integer_weights(walk(f)) for f in fields]
     assignment: dict[str, DataValue] = {}
     total = 0
     for combo in itertools.product(*(pairs for _, pairs in weights)):
@@ -787,14 +893,16 @@ def _joint(fields: list[str], test: Callable[[dict], bool],
 
 def _probability(expr: OracleExpr, distributions: Mapping[str, FiniteDistribution]) -> Fraction:
     """Exact probability of ``expr``, factorized over independent fields; a
-    node over one string field with a plan is counted, not walked."""
+    node over one string field with a plan is counted, not walked, and
+    integer fields are walked by cells."""
     if isinstance(expr, Not):
         return 1 - _probability(expr.arg, distributions)
     if isinstance(expr, IsLeapDay) and len(_fields_of(expr)) == 3:
         tests = {expr.day: lambda x: x == 29, expr.month: lambda x: x == 2,
                  expr.year: lambda x: is_gregorian_leap_year(int(x))}
+        cuts = _cuts(expr)
         return math.prod(
-            _joint([f], lambda a, f=f: tests[f](_number(a[f], f)), distributions)
+            _joint([f], lambda a, f=f: tests[f](_number(a[f], f)), distributions, cuts)
             for f in tests)
     if isinstance(expr, (And, Or)) and len(split := _components(expr)) > 1:
         parts = [_probability(part, distributions) for part in split]
@@ -802,9 +910,9 @@ def _probability(expr: OracleExpr, distributions: Mapping[str, FiniteDistributio
             return math.prod(parts)
         return 1 - math.prod(1 - p for p in parts)
     fields = [f for f in distributions if f in _fields_of(expr)]
-    if len(fields) == 1 and (plan := distributions[fields[0]]._plan) is not None:
+    if len(fields) == 1 and isinstance(plan := distributions[fields[0]]._compact, Chars):
         return _string_mass(expr, plan)
-    return _joint(fields, functools.partial(evaluate_expr, expr), distributions)
+    return _joint(fields, functools.partial(evaluate_expr, expr), distributions, _cuts(expr))
 
 
 def _integer_weights(outcomes: tuple) -> tuple[int, list[tuple[DataValue, int]]]:

@@ -532,3 +532,22 @@ def test_aggregate_csv_renders_none_as_dash(tmp_path):
     text = path.read_text()
     assert ",-,-," in text
     assert aggregate_from_csv(path) == rows
+
+
+@pytest.mark.parametrize("debug", [None, "1"])
+def test_unexpected_error_prints_a_traceback_only_when_debugging(monkeypatch, capsys, debug):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    if debug is None:
+        monkeypatch.delenv("ANONREPRO_DEBUG", raising=False)
+    else:
+        monkeypatch.setenv("ANONREPRO_DEBUG", debug)
+    assert cli.main(["report", "--in", "results.csv"]) == 2
+    err = capsys.readouterr().err
+    if debug is None:
+        assert err == "unexpected error: boom\n"
+    else:
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in broken" in err and err.endswith("RuntimeError: boom\nunexpected error: boom\n")

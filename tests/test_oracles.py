@@ -1,9 +1,11 @@
 """Predicate semantics, exact enumeration, and the built-in corpus."""
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from anonrepro import corpus, oracles
 from anonrepro.errors import (
+    DegenerateIntervalError,
     EnumerationInfeasibleError,
     EvaluationError,
     OracleError,
@@ -57,6 +60,7 @@ from anonrepro.techniques import (
     SCDLocalSuppressionConfig,
     Numbers,
     Strings,
+    integer_bounds,
     pack,
 )
 
@@ -455,7 +459,7 @@ def _string_case(alphabet, lo, hi):
 def _counted_equals_listed(predicate, alphabet, lo, hi):
     domain, dist = _string_case(alphabet, lo, hi)
     oracle = one_field(domain, predicate)  # checks that the predicate is well typed
-    counted = oracles._string_mass(predicate, dist._plan)
+    counted = oracles._string_mass(predicate, dist._compact)
     listed = sum(p for value, p in dist.outcomes if evaluate_expr(predicate, {"x": value}))
     assert counted == listed, (predicate, alphabet, lo, hi)
     assert exhaustive_probability(oracle, {"x": dist}) == float(listed)
@@ -521,7 +525,7 @@ def test_counted_string_mass_fixed_cases(predicate, alphabet, lo, hi, expected):
 def test_string_distribution_lists_its_outcomes_only_when_read():
     domain, dist = _string_case("0:", 1, 2)
     assert dist._outcomes is None and dist._size() == 2 + 4
-    listed = FiniteDistribution(oracles._string_support(dist._plan))
+    listed = FiniteDistribution(oracles._string_support(dist._compact))
     assert dist == listed and hash(dist) == hash(listed) and repr(dist) == repr(listed)
     assert dist.outcomes == listed.outcomes
     assert [v.value for v, _ in dist.outcomes] == ["0", ":", "00", "0:", ":0", "::"]
@@ -553,6 +557,188 @@ def test_exhaustive_probability_counts_strings_and_never_lists_them(monkeypatch)
         }
         assert exhaustive_probability(entry.oracle, distributions) == float(expected), key
     test_exhaustive_probability_requires_all_fields_and_respects_cap()
+
+
+# ---------------------------------------------------------------------------
+# integer supports as runs, walked by cells
+
+
+def noise_reference(value, low, high, max_inclusive, noise):
+    """Integer noise listed integer by integer: every integer j of the
+    exact noise interval adds its overlap with [j - 1/2, j + 1/2), the
+    values that round half-up to j, to the bucket j clamps to."""
+    noise_q, value_q = Fraction(repr(noise)), Fraction(value)
+    lo = value_q - noise_q * (value_q - Fraction(low))
+    hi = value_q + noise_q * (Fraction(high) - value_q)
+    lo_d, hi_d = integer_bounds(low, high, max_inclusive)
+    masses = defaultdict(Fraction)
+    half = Fraction(1, 2)
+    for j in range(math.floor(lo + half), math.floor(hi + half) + 1):
+        overlap = min(hi, j + half) - max(lo, j - half)
+        if overlap > 0:
+            masses[min(max(j, lo_d), hi_d)] += overlap / (hi - lo)
+    return tuple((Continuous(float(j), 0), p) for j, p in sorted(masses.items()))
+
+
+def typed(outcomes):
+    """Outcomes with every type and field spelled out, precision included."""
+    return [(type(v), v.value, v.precision, type(p), p) for v, p in outcomes]
+
+
+NOISES = (1.0, 0.5, 0.25, 0.1, 0.3, 0.7, 1 / 3, 0.05, 0.01, 0.999, 1e-3, 0.123456789, 2**-10)
+
+
+def test_noise_runs_list_exactly_the_per_integer_reference():
+    cases = 0
+    for low in (0.0, -3.0, 0.5, -2.25, 1.7):
+        for width in (1.0, 2.5, 3.0, 7.0, 12.3, 40.0):
+            high = low + width
+            values = [low, high, *range(math.ceil(low), math.floor(high) + 1)]
+            for max_inclusive, noise, value in itertools.product((True, False), NOISES, values):
+                try:
+                    clamp = integer_bounds(low, high, max_inclusive)
+                except DegenerateIntervalError:
+                    continue
+                runs = oracles._noise_runs(value, low, high, noise, clamp)
+                listed = FiniteDistribution._unlisted(runs).outcomes
+                expected = noise_reference(value, low, high, max_inclusive, noise)
+                assert typed(listed) == typed(expected), (value, low, high, max_inclusive, noise)
+                assert len(runs) <= 3 and sum(r.last - r.first + 1 for r in runs) == len(expected)
+                cases += 1
+    assert cases >= 10_000
+
+
+@pytest.mark.parametrize("value, low, high, max_inclusive, noise, values", [
+    (0, 0, 10, True, 0.25, [0, 1, 2]),  # hi = 2.5: 3 rounds only the edge itself, of mass 0
+    (5, 0, 10, True, 1e-3, [5]),  # one bucket, of weight Fraction(1)
+    (10, 0, 10, False, 0.5, [5, 6, 7, 8, 9]),  # 10 clamps into 9
+    (0, 0, 10, True, 1.0, list(range(11))),
+])
+def test_noise_runs_fixed_cases(value, low, high, max_inclusive, noise, values):
+    domain = NumericDomain(low, high, max_inclusive=max_inclusive, integer=True)
+    dist = technique_distribution(NoiseAdditionConfig(noise), Continuous(value), domain)
+    assert dist._outcomes is None and dist._size() == len(values)
+    assert [v.value for v, _ in dist.outcomes] == values
+    assert typed(dist.outcomes) == typed(noise_reference(value, low, high, max_inclusive, noise))
+
+
+def test_integer_distribution_lists_its_outcomes_only_when_read():
+    dist = technique_distribution(LocalSuppressionConfig(), Continuous(29), DAY)
+    assert dist._compact == (oracles._Run(1, 31, Fraction(1, 31)),)
+    assert dist._outcomes is None and dist._size() == 31
+    listed = FiniteDistribution((Continuous(v, 0), Fraction(1, 31)) for v in range(1, 32))
+    assert dist == listed and hash(dist) == hash(listed) and repr(dist) == repr(listed)
+    assert typed(dist.outcomes) == typed(listed.outcomes)
+    with pytest.raises(OracleError):
+        FiniteDistribution._unlisted((oracles._Run(1, 3, Fraction(1, 4)),))
+
+
+def point_walk(expr, distributions):
+    """Mass of the listed joint points of the fields ``expr`` reads that
+    satisfy it."""
+    fields = sorted(oracles._fields_of(expr))
+    total = Fraction(0)
+    for combo in itertools.product(*(distributions[f].outcomes for f in fields)):
+        if evaluate_expr(expr, {f: value for f, (value, _) in zip(fields, combo)}):
+            total += math.prod(Fraction(p) for _, p in combo)
+    return total
+
+
+@st.composite
+def _integer_distributions(draw):
+    low = draw(st.integers(-20, 20))
+    domain = NumericDomain(low, low + draw(st.integers(1, 30)),
+                           max_inclusive=draw(st.booleans()), integer=True)
+    first, last = integer_bounds(domain.min, domain.max, domain.max_inclusive)
+    value = Continuous(draw(st.integers(first, last)))
+    cfg = draw(st.one_of(
+        st.just(LocalSuppressionConfig()),
+        st.builds(GlobalRecodingConfig, st.integers(2, 5)),
+        st.builds(NoiseAdditionConfig, st.sampled_from(NOISES)),
+    ))
+    return technique_distribution(cfg, value, domain)
+
+
+BOUNDS = st.one_of(
+    st.integers(-30, 60),
+    st.integers(-60, 120).map(lambda k: k / 2 + 0.25),
+    st.sampled_from([math.inf, -math.inf, 1e300, -1e300, 2.0**60, 0.5]),
+)
+
+
+def _integer_predicates(names):
+    field = st.sampled_from(names)
+    leaves = st.one_of(
+        st.builds(lambda f, a, b: InRange(f, min(a, b), max(a, b)), field, BOUNDS, BOUNDS),
+        st.builds(Equals, field, BOUNDS.filter(lambda v: abs(v) != math.inf)),
+    )
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(And, st.lists(children, min_size=1, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(children, min_size=1, max_size=3).map(tuple)),
+    ), max_leaves=6)
+
+
+@st.composite
+def _cell_cases(draw):
+    names = ["x", "y"][: draw(st.integers(1, 2))]
+    return draw(_integer_predicates(names)), {n: draw(_integer_distributions()) for n in names}
+
+
+@given(_cell_cases())
+@settings(max_examples=300, deadline=None)
+@example((InRange("x", 3, 1e300), {"x": technique_distribution(
+    NoiseAdditionConfig(0.3), Continuous(29), DAY)}))
+@example((Or((Equals("x", 2**60), Not(InRange("x", -math.inf, 4.5)))), {"x": technique_distribution(
+    GlobalRecodingConfig(2), Continuous(3), DAY)}))
+def test_cells_give_the_mass_of_the_points(case):
+    expr, distributions = case
+    fields = sorted(oracles._fields_of(expr))
+    expected = point_walk(expr, distributions)
+    cells = oracles._joint(fields, functools.partial(evaluate_expr, expr), distributions,
+                           oracles._cuts(expr))
+    assert cells == expected
+    assert oracles._probability(expr, distributions) == expected
+
+
+def test_cells_past_exact_floats_walk_every_integer():
+    # float(j) rounds beyond 2**53: 2**54 + 1 and + 2 read as 2**54, so the
+    # leaf is not constant from its cut at 2**54 + 1 on
+    far = FiniteDistribution._unlisted((oracles._Run(2**54 - 4, 2**54 + 4, Fraction(1, 9)),))
+    expr = InRange("x", 2**54 + 1, math.inf)
+    cells = oracles._joint(["x"], functools.partial(evaluate_expr, expr), {"x": far},
+                           oracles._cuts(expr))
+    assert cells == point_walk(expr, {"x": far}) == Fraction(2, 9)
+
+
+def test_exhaustive_probability_walks_integer_cells_and_never_lists_them(monkeypatch):
+    def fresh(entry, cfg):
+        return {field: technique_distribution(cfg, entry.original_assignment[field], domain)
+                for field, domain in entry.oracle.fields}
+
+    integer = {}
+    for entry in corpus.load_all():
+        for index, cfg in enumerate(entry.configs):
+            try:
+                distributions = fresh(entry, cfg)
+            except EnumerationInfeasibleError:
+                continue
+            read = [distributions[f] for f in oracles._fields_of(entry.oracle.predicate)]
+            if all(isinstance(dist._compact, tuple) for dist in read):
+                integer[f"{entry.name}#{index}"] = (
+                    entry, cfg, point_walk(entry.oracle.predicate, distributions))
+    assert len(integer) >= 30
+
+    def listing(runs):
+        raise AssertionError(f"listed the integers of {runs}")
+
+    monkeypatch.setattr(oracles, "_run_support", listing)
+    for key, (entry, cfg, expected) in integer.items():
+        distributions = fresh(entry, cfg)
+        assert oracles._probability(entry.oracle.predicate, distributions) == expected, key
+        assert exhaustive_probability(entry.oracle, distributions) == float(expected), key
+    meds = fresh(*integer["did_i_take_my_meds#0"][:2])
+    assert oracles._probability(integer["did_i_take_my_meds#0"][0].oracle.predicate, meds) == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
