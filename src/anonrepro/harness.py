@@ -30,6 +30,7 @@ the interpreter exits.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -55,12 +56,9 @@ from .oracles import (
 )
 from .rng import TrialBlock, blocks
 from .techniques import (
-    GlobalRecodingConfig,
-    LocalSuppressionConfig,
-    NoiseAdditionConfig,
-    RoundingConfig,
-    SCDLocalSuppressionConfig,
     TechniqueConfig,
+    _EXACT,
+    config_summary,
     field_plan,
     regenerate_block,
     technique_name,
@@ -96,7 +94,7 @@ def attempts_for_confidence(
     n = math.ceil(Fraction(target) / Fraction(step))
     # the logs are rounded, so n can be one off either way; past 2**53 a
     # float product no longer tells n from n - 1
-    if n < 2**53:
+    if n < _EXACT:
         while n > 1 and (n - 1) * step <= target:
             n -= 1
         while n * step > target:
@@ -132,18 +130,6 @@ class TrialReport:
         return attempts_for_confidence(self.reproduction_frequency, self.confidence)
 
 
-def _summarize(cfg: TechniqueConfig) -> str:
-    if isinstance(cfg, GlobalRecodingConfig):
-        return "hierarchy" if cfg.partitions is None else f"partitions={cfg.partitions}"
-    if isinstance(cfg, RoundingConfig):
-        return f"partitions={cfg.partitions}"
-    if isinstance(cfg, (LocalSuppressionConfig, SCDLocalSuppressionConfig)):
-        return f"length={cfg.length_policy.value}"
-    if isinstance(cfg, NoiseAdditionConfig):
-        return f"noise={cfg.noise:g}"
-    raise ConfigError(f"unknown technique configuration {cfg!r}")
-
-
 def resolve_configs(
     oracle: BugOracle, config: ConfigLike
 ) -> tuple[TechniqueConfig, ...]:
@@ -177,11 +163,11 @@ def _describe(
     for cfg in per_field:
         if cfg.label is not None and cfg.label not in labels:
             labels.append(cfg.label)
-    if len(set(map(_summarize, per_field))) == 1 and len(names) == 1:
-        summary = _summarize(per_field[0])
+    if len(set(map(config_summary, per_field))) == 1 and len(names) == 1:
+        summary = config_summary(per_field[0])
     else:
         summary = "; ".join(
-            f"{field}: {technique_name(cfg)} {_summarize(cfg)}"
+            f"{field}: {technique_name(cfg)} {config_summary(cfg)}"
             for field, cfg in zip(oracle.field_names, per_field)
         )
     return "+".join(names), "+".join(labels), summary
@@ -330,17 +316,8 @@ def run_trials(
         bounds = [round(trials * i / size) for i in range(size + 1)]
         with _pool_lock:
             try:
-                parts = list(
-                    _worker_pool(size).map(
-                        _run_chunk,
-                        [oracle] * size,
-                        [originals] * size,
-                        [per_field] * size,
-                        [seed] * size,
-                        bounds[:-1],
-                        bounds[1:],
-                    )
-                )
+                chunk = functools.partial(_run_chunk, oracle, originals, per_field, seed)
+                parts = list(_worker_pool(size).map(chunk, bounds[:-1], bounds[1:]))
             except BrokenProcessPool:
                 _drop_pool()
                 raise

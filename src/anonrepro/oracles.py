@@ -66,6 +66,7 @@ from .techniques import (
     SCDLocalSuppressionConfig,
     Span,
     TechniqueConfig,
+    _EXACT,
     field_plan,
     text_codes,
 )
@@ -262,6 +263,13 @@ def evaluate_expr(expr: OracleExpr, assignment: Mapping[str, DataValue]) -> bool
     raise EvaluationError(f"unknown predicate node {expr!r}")
 
 
+def _char_ats(expr: EndsWith) -> And:
+    """``expr`` as one ``CharAt`` from the end per character of the suffix:
+    an index out of range is false, so a shorter string fails."""
+    m = len(expr.suffix)
+    return And(tuple(CharAt(expr.field, k - m, char) for k, char in enumerate(expr.suffix)))
+
+
 Compiled = Callable[[Mapping[str, Column]], np.ndarray]
 
 
@@ -286,6 +294,8 @@ def compile_expr(expr: OracleExpr) -> Compiled:
     if isinstance(expr, Not):
         inner = compile_expr(expr.arg)
         return lambda columns: ~inner(columns)
+    if isinstance(expr, EndsWith):
+        return compile_expr(_char_ats(expr))
     if isinstance(expr, IsLeapDay):
         day, month, year = expr.day, expr.month, expr.year
 
@@ -329,18 +339,6 @@ def compile_expr(expr: OracleExpr) -> Compiled:
             inside = allowed[np.minimum(column.codes, len(allowed) - 1)]
             return (inside | ~_positions(column)).all(axis=1)
         return matches_class
-    if isinstance(expr, EndsWith):
-        target = text_codes(expr.suffix)
-
-        def ends_with(columns):
-            column = columns[field]
-            width = column.codes.shape[1]
-            if len(target) > width:
-                return np.zeros(len(column.lengths), dtype=bool)
-            places = np.clip(column.lengths[:, None] - len(target) + np.arange(len(target)), 0, None)
-            tail = np.take_along_axis(column.codes, places, axis=1)
-            return (column.lengths >= len(target)) & (tail == target).all(axis=1)
-        return ends_with
     if isinstance(expr, CharAt):
         index, code = expr.index, ord(expr.char)
 
@@ -693,11 +691,10 @@ def _while(holds: Callable[[str, int], bool]) -> _Leaf:
     return _Leaf(True, lambda ok, char, position: ok and holds(char, position), bool)
 
 
-def _kmp(pattern: str, absorbing: bool) -> _Leaf:
+def _kmp(pattern: str) -> _Leaf:
     """The KMP automaton of a non-empty ``pattern``: the state is the length
-    of the longest prefix of it that the text read so far ends with.  An
-    ``absorbing`` match holds once reached (contains); otherwise it must
-    hold at the end (ends_with)."""
+    of the longest prefix of it that the text read so far ends with, and a
+    match, once reached, holds."""
     m = len(pattern)
     border = [0] * m  # border[q]: the longest proper border of pattern[:q + 1]
     k = 0
@@ -710,9 +707,7 @@ def _kmp(pattern: str, absorbing: bool) -> _Leaf:
 
     def step(q: int, char: str, position: int) -> int:
         if q == m:
-            if absorbing:
-                return m
-            q = border[m - 1]
+            return m
         while q and pattern[q] != char:
             q = border[q - 1]
         return q + 1 if pattern[q] == char else 0
@@ -735,9 +730,7 @@ def _leaf_automaton(expr: OracleExpr, length: int) -> _Leaf:
     """``evaluate_expr`` of a string leaf, as an automaton over strings of
     ``length`` characters."""
     if isinstance(expr, Contains):
-        return _kmp(expr.substring, True) if expr.substring else _fixed(True)
-    if isinstance(expr, EndsWith):
-        return _kmp(expr.suffix, False)
+        return _kmp(expr.substring) if expr.substring else _fixed(True)
     if isinstance(expr, CharAt):
         at, char = expr.index + length if expr.index < 0 else expr.index, expr.char
         if not 0 <= at < length:
@@ -768,6 +761,8 @@ def _product(expr: OracleExpr, length: int, leaves: list[_Leaf]) -> Callable[[tu
     if isinstance(expr, Not):
         inner = _product(expr.arg, length, leaves)
         return lambda states: not inner(states)
+    if isinstance(expr, EndsWith):
+        return _product(_char_ats(expr), length, leaves)
     leaf, k = _leaf_automaton(expr, length), len(leaves)
     leaves.append(leaf)
     return lambda states: leaf.accepts(states[k])
@@ -799,15 +794,10 @@ def _string_mass(expr: OracleExpr, plan: Chars) -> Fraction:
     return mass / (plan.hi - plan.lo + 1)
 
 
-#: Integers below this magnitude are exact floats, so a leaf reads an
-#: integer x as x itself.
-_EXACT_INTEGERS = 2**53
-
-
 def _cuts(expr: OracleExpr, cuts: dict | None = None) -> dict[str, set[int] | None]:
     """For each field ``expr`` reads, the integers x at which one of its
     leaves may tell x - 1 from x, so that every leaf is constant on the
-    integers between consecutive cuts (below ``_EXACT_INTEGERS``); None for
+    integers between consecutive cuts (below ``_EXACT``); None for
     a field that a leaf may tell apart at any integer (the leap-year test,
     a string probe)."""
     cuts = {} if cuts is None else cuts
@@ -828,8 +818,8 @@ def _cuts(expr: OracleExpr, cuts: dict | None = None) -> dict[str, set[int] | No
             edges.append(math.floor(expr.hi) + 1)
         at = ((expr.field, tuple(edges)),)
     elif isinstance(expr, Equals) and not isinstance(expr.value, str):
-        v = expr.value  # no integer below _EXACT_INTEGERS equals a larger float(v)
-        exact = abs(v) < _EXACT_INTEGERS and float(v).is_integer()
+        v = expr.value  # no integer below _EXACT equals a larger float(v)
+        exact = abs(v) < _EXACT and float(v).is_integer()
         at = ((expr.field, (int(v), int(v) + 1) if exact else ()),)
     elif isinstance(expr, DecimalSeparatorIs):  # reads only the precision, 0 for integers
         at = ((expr.field, ()),)
@@ -847,8 +837,8 @@ def _cells(runs: tuple[_Run, ...], cuts: set[int] | None) -> list[tuple[DataValu
     """One (value, mass) pair per cell of ``runs``: the integers between
     consecutive ``cuts``, at the cell's first integer with the whole cell's
     mass; one per integer, in order, when ``cuts`` is None or a run reaches
-    ``_EXACT_INTEGERS``."""
-    if cuts is None or any(max(-run.first, run.last) >= _EXACT_INTEGERS for run in runs):
+    ``_EXACT``."""
+    if cuts is None or any(max(-run.first, run.last) >= _EXACT for run in runs):
         return [(Continuous(float(j), 0), run.weight)
                 for run in runs for j in range(run.first, run.last + 1)]
     edges = sorted(cuts)

@@ -64,12 +64,11 @@ from .model import (
     fields_from_json,
     fields_to_json,
 )
-from .rng import TAPE_WORDS, TrialBlock, bounded, split, uniform
+from .rng import TAPE_WORDS, TrialBlock, _MASK32, bounded, split, uniform
 
 log = logging.getLogger(__name__)
 
 _ALNUM = frozenset(string.ascii_letters + string.digits)
-_MASK32 = (1 << 32) - 1
 
 
 def is_special_char(char: str) -> bool:
@@ -153,6 +152,19 @@ TechniqueConfig = Union[
     SCDLocalSuppressionConfig,
     NoiseAdditionConfig,
 ]
+
+
+def config_summary(cfg: TechniqueConfig) -> str:
+    """The settings of ``cfg`` other than its label, as result tables show them."""
+    if isinstance(cfg, GlobalRecodingConfig) and cfg.partitions is None:
+        return "hierarchy"
+    if isinstance(cfg, (GlobalRecodingConfig, RoundingConfig)):
+        return f"partitions={cfg.partitions}"
+    if isinstance(cfg, (LocalSuppressionConfig, SCDLocalSuppressionConfig)):
+        return f"length={cfg.length_policy.value}"
+    if isinstance(cfg, NoiseAdditionConfig):
+        return f"noise={cfg.noise:g}"
+    raise ConfigError(f"unknown technique configuration {cfg!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +577,8 @@ def noise_plan(value: DataValue, domain: DomainSpec, noise: float) -> Plan:
     """What noise addition draws ``value``'s replacement from: the grid
     points of its noise interval (or a raw draw when there are none), and
     for integer domains a raw draw rounded half-up and clamped into the
-    domain; a tuple's is its components' ``Parts``.  Cached, because a run
-    adds noise to the same value each trial."""
+    domain; a tuple's is its components' ``Parts``.  Cached for scalar
+    ``anonymize`` calls on a repeated value."""
     if isinstance(domain, TupleDomain):
         return Parts(tuple(map(noise_plan, value.components, domain.components, repeat(noise))))
     if not isinstance(domain, NumericDomain):

@@ -1,6 +1,7 @@
 """The five techniques: worked examples, containment, and closure properties."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anonrepro import corpus
 from anonrepro.errors import (
     ConfigError,
     DegenerateIntervalError,
@@ -46,6 +48,7 @@ from anonrepro.techniques import (
     TupleRecord,
     anonymize,
     config_from_json,
+    config_summary,
     config_to_json,
     noise_interval,
     record_domain,
@@ -403,6 +406,41 @@ ALL_CONFIGS = (
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: type(c).__name__)
 def test_config_json_round_trip(cfg):
     assert config_from_json(config_to_json(cfg)) == cfg
+
+
+#: Each corpus config's summary, without its label, as result tables print it.
+SUMMARIES = {
+    GlobalRecodingConfig(): "hierarchy",
+    GlobalRecodingConfig(2): "partitions=2",
+    GlobalRecodingConfig(3): "partitions=3",
+    GlobalRecodingConfig(4): "partitions=4",
+    GlobalRecodingConfig(50): "partitions=50",
+    GlobalRecodingConfig(100): "partitions=100",
+    GlobalRecodingConfig(500): "partitions=500",
+    RoundingConfig(2): "partitions=2",
+    RoundingConfig(3): "partitions=3",
+    RoundingConfig(4): "partitions=4",
+    RoundingConfig(50): "partitions=50",
+    RoundingConfig(100): "partitions=100",
+    RoundingConfig(500): "partitions=500",
+    LocalSuppressionConfig(LengthPolicy.PRESERVE_ORIGINAL): "length=preserve_original",
+    LocalSuppressionConfig(LengthPolicy.RANDOM_IN_RANGE): "length=random_in_range",
+    SCDLocalSuppressionConfig(LengthPolicy.PRESERVE_ORIGINAL): "length=preserve_original",
+    SCDLocalSuppressionConfig(LengthPolicy.RANDOM_IN_RANGE): "length=random_in_range",
+    NoiseAdditionConfig(0.3): "noise=0.3",
+    NoiseAdditionConfig(0.4): "noise=0.4",
+    NoiseAdditionConfig(0.5): "noise=0.5",
+    NoiseAdditionConfig(0.123456789): "noise=0.123457",  # six significant digits
+}
+
+
+def test_config_summary_of_every_corpus_config():
+    configs = [cfg for entry in corpus.load_all() for cfg in entry.configs]
+    assert len(configs) == 132
+    for cfg in configs:
+        assert config_summary(cfg) == SUMMARIES[dataclasses.replace(cfg, label=None)], cfg
+    for cfg, summary in SUMMARIES.items():
+        assert config_summary(dataclasses.replace(cfg, label="Hi")) == summary
 
 
 def test_config_from_json_rejects_garbage():

@@ -513,9 +513,17 @@ def test_counted_string_mass_equals_listed_support(case):
     (DecimalSeparatorIs("x", "."), ".0", 0, 2, Fraction(2, 4) / 3),  # ".0", "0."
     (And((EndsWith("x", "aa"), Not(Equals("x", "aaa")))), "ab", 0, 3, None),
     (Or((MatchesClass("x", "[a]"), LengthGt("x", 1))), "ab", 0, 2, Fraction(5, 6)),
+    (EndsWith("x", "aaaaa"), "ab", 0, 4, Fraction(0)),  # longer than every string
+    (EndsWith("x", "ab"), "ab", 2, 2, Fraction(1, 4)),  # the whole string
+    (EndsWith("x", "ab"), "ab", 0, 2, Fraction(1, 12)),
+    (EndsWith("x", "aa"), "ab", 3, 3, Fraction(2, 8)),  # "aaa" and "baa", not "aba"
+    (EndsWith("x", "\x00"), "\x00a", 0, 2, Fraction(1, 3)),
+    (EndsWith("x", "a"), "ab", 0, 0, Fraction(0)),  # only the empty string
 ], ids=["contains-empty", "contains-border", "not-contains", "char-at-last", "char-at-last-and-first", "char-at-minus-5",
         "char-at-minus-3", "char-at-past-end", "digit-separator", "dot-separator",
-        "ends-with-and-not-equals", "matches-or-longer"])
+        "ends-with-and-not-equals", "matches-or-longer", "ends-with-longer",
+        "ends-with-whole-string", "ends-with-whole-or-shorter", "ends-with-repeated-char",
+        "ends-with-nul", "ends-with-empty-strings"])
 def test_counted_string_mass_fixed_cases(predicate, alphabet, lo, hi, expected):
     counted = _counted_equals_listed(predicate, alphabet, lo, hi)
     if expected is not None:
@@ -916,3 +924,28 @@ def test_compiled_predicate_agrees_with_evaluate_expr(expr, rows, precision, ext
         for row in range(len(rows))
     ]
     assert got.dtype == bool and got.tolist() == expected
+
+
+ENDS_WITH_TEXTS = ("aaa", "aba", "", "a\x00", "\x00a", "aa")
+
+
+@pytest.mark.parametrize("expr, expected", [
+    (EndsWith("s", "aaaa"), [False] * 6),  # longer than every string
+    (EndsWith("s", "aaaaaaaaaa"), [False] * 6),  # longer than the padded column too
+    (EndsWith("s", "aaa"), [True, False, False, False, False, False]),
+    (EndsWith("s", "aa"), [True, False, False, False, False, True]),
+    (EndsWith("s", "\x00"), [False, False, False, True, False, False]),
+    (EndsWith("c", "\x00"), [True, False, False, True, False, False]),
+    (EndsWith("c", "a\x00"), [True, False, False, False, False, False]),
+], ids=["longer", "longer-than-padding", "whole-string", "repeated-char", "nul",
+        "categorical-nul", "categorical-whole-label"])
+@pytest.mark.parametrize("fill", ["a", "\x00"])
+def test_compiled_ends_with_fixed_cases(expr, expected, fill):
+    BugOracle(name="block", fields=BLOCK_FIELDS, predicate=expr)
+    columns = {
+        "s": padded(pack(list(map(Text, ENDS_WITH_TEXTS))), 3, ord(fill)),
+        "c": padded(pack(list(map(Categorical, LABELS))), 3, ord(fill)),
+    }
+    rows = [{name: column.box(row) for name, column in columns.items()} for row in range(6)]
+    assert [evaluate_expr(expr, row) for row in rows] == expected
+    assert compile_expr(expr)(columns).tolist() == expected
