@@ -26,6 +26,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Union
 
@@ -600,19 +601,28 @@ def _noise_runs(value: float, low: float, high: float, noise: float,
     integer strictly between the first and the last outcome covers a whole
     unit of the interval; the first takes the mass below its upper edge
     and the last the mass above its lower edge.
+
+    The arithmetic is on integers: the floats are binary fractions and the
+    noise a decimal one, so the interval's ends and the half-unit edges
+    are numerators over one even denominator ``unit``; only the weights
+    are ``Fraction``s.
     """
-    noise_q, value_q = Fraction(repr(noise)), Fraction(value)
-    lo = value_q - noise_q * (value_q - Fraction(low))
-    hi = value_q + noise_q * (Fraction(high) - value_q)
-    width, half = hi - lo, Fraction(1, 2)
-    first, last = (min(max(math.floor(x + half), clamp[0]), clamp[1]) for x in (lo, hi))
-    if last > first and last - half >= hi:  # hi lies on last's lower edge
+    ratios = [x.as_integer_ratio() for x in (value, low, high)]
+    scale = max(d for _, d in ratios)  # powers of two: their lcm is the largest
+    v, a, b = (x * (scale // d) for x, d in ratios)  # value, low, high over scale
+    n, n_d = Decimal(repr(noise)).as_integer_ratio()
+    half = n_d * scale
+    unit = 2 * half
+    lo, hi = 2 * (n_d * v - n * (v - a)), 2 * (n_d * v + n * (b - v))  # over unit
+    width = hi - lo
+    first, last = (min(max((x + half) // unit, clamp[0]), clamp[1]) for x in (lo, hi))
+    if last > first and last * unit - half >= hi:  # hi lies on last's lower edge
         last -= 1
     if first == last:
         return (_Run(first, last, Fraction(1)),)
-    inner = (_Run(first + 1, last - 1, 1 / width),) if last - first > 1 else ()
-    return (_Run(first, first, (first + half - lo) / width), *inner,
-            _Run(last, last, (hi - (last - half)) / width))
+    inner = (_Run(first + 1, last - 1, Fraction(unit, width)),) if last - first > 1 else ()
+    return (_Run(first, first, Fraction(first * unit + half - lo, width)), *inner,
+            _Run(last, last, Fraction(hi - (last * unit - half), width)))
 
 
 def technique_distribution(
@@ -674,11 +684,12 @@ def _components(expr: And | Or) -> list[OracleExpr]:
 class _Leaf(NamedTuple):
     """A string leaf's automaton: the state before the first character, the
     state after reading a character at a position, and whether an end state
-    satisfies the leaf."""
+    satisfies the leaf; for a ``_while`` leaf, also its character test."""
 
     start: Any
     step: Callable[[Any, str, int], Any]
     accepts: Callable[[Any], bool]
+    holds: Callable[[str, int], bool] | None = None
 
 
 def _fixed(answer: bool) -> _Leaf:
@@ -688,7 +699,7 @@ def _fixed(answer: bool) -> _Leaf:
 
 def _while(holds: Callable[[str, int], bool]) -> _Leaf:
     """A leaf that holds while every character read passes ``holds``."""
-    return _Leaf(True, lambda ok, char, position: ok and holds(char, position), bool)
+    return _Leaf(True, lambda ok, char, position: ok and holds(char, position), bool, holds)
 
 
 def _kmp(pattern: str) -> _Leaf:
@@ -751,21 +762,50 @@ def _leaf_automaton(expr: OracleExpr, length: int) -> _Leaf:
     raise EvaluationError(f"predicate node {expr!r} does not test a string")
 
 
+def _conjuncts(expr: OracleExpr) -> Iterable[OracleExpr]:
+    """The operands of ``expr`` under ``and``, nested ``and`` nodes and
+    ``ends_with`` (an ``and`` of ``char_at``s) opened."""
+    if isinstance(expr, EndsWith):
+        expr = _char_ats(expr)
+    if isinstance(expr, And):
+        for arg in expr.args:
+            yield from _conjuncts(arg)
+    else:
+        yield expr
+
+
+def _append(leaf: _Leaf, leaves: list[_Leaf]) -> Callable[[tuple], bool]:
+    """Append ``leaf`` to ``leaves``: whether a tuple of end states satisfies it."""
+    k = len(leaves)
+    leaves.append(leaf)
+    return lambda states: leaf.accepts(states[k])
+
+
 def _product(expr: OracleExpr, length: int, leaves: list[_Leaf]) -> Callable[[tuple], bool]:
     """Whether a tuple of leaf end states satisfies ``expr``; appends the
-    automaton of each leaf of ``expr`` to ``leaves``, in order."""
-    if isinstance(expr, (And, Or)):
+    automaton of each leaf of ``expr`` to ``leaves``, in order, except that
+    the ``_while`` leaves under one ``and`` become one leaf that holds while
+    all of them do, so that they add one state and not one each."""
+    if isinstance(expr, Or):
         parts = [_product(arg, length, leaves) for arg in expr.args]
-        join = all if isinstance(expr, And) else any
-        return lambda states: join(part(states) for part in parts)
+        return lambda states: any(part(states) for part in parts)
     if isinstance(expr, Not):
         inner = _product(expr.arg, length, leaves)
         return lambda states: not inner(states)
-    if isinstance(expr, EndsWith):
-        return _product(_char_ats(expr), length, leaves)
-    leaf, k = _leaf_automaton(expr, length), len(leaves)
-    leaves.append(leaf)
-    return lambda states: leaf.accepts(states[k])
+    if not isinstance(expr, (And, EndsWith)):
+        return _append(_leaf_automaton(expr, length), leaves)
+    parts, tests = [], []
+    for arg in _conjuncts(expr):
+        if isinstance(arg, (Or, Not)):
+            parts.append(_product(arg, length, leaves))
+        elif (leaf := _leaf_automaton(arg, length)).holds is None:
+            parts.append(_append(leaf, leaves))
+        else:
+            tests.append(leaf.holds)
+    if tests:
+        parts.append(_append(_while(tests[0] if len(tests) == 1 else lambda c, position: all(
+            test(c, position) for test in tests)), leaves))
+    return lambda states: all(part(states) for part in parts)
 
 
 def _string_mass(expr: OracleExpr, plan: Chars) -> Fraction:
@@ -833,12 +873,23 @@ def _cuts(expr: OracleExpr, cuts: dict | None = None) -> dict[str, set[int] | No
     return cuts
 
 
+def _past_exact(runs: tuple[_Run, ...]) -> bool:
+    """Whether a run reaches ``_EXACT``, past which float(j) rounds."""
+    return any(max(-run.first, run.last) >= _EXACT for run in runs)
+
+
+def _leaps(year: int) -> int:
+    """How many Gregorian leap years lie in [1, year]; their count in
+    (a, b] is _leaps(b) - _leaps(a) for any integers, negative ones too."""
+    return year // 4 - year // 100 + year // 400
+
+
 def _cells(runs: tuple[_Run, ...], cuts: set[int] | None) -> list[tuple[DataValue, Fraction]]:
     """One (value, mass) pair per cell of ``runs``: the integers between
     consecutive ``cuts``, at the cell's first integer with the whole cell's
     mass; one per integer, in order, when ``cuts`` is None or a run reaches
     ``_EXACT``."""
-    if cuts is None or any(max(-run.first, run.last) >= _EXACT for run in runs):
+    if cuts is None or _past_exact(runs):
         return [(Continuous(float(j), 0), run.weight)
                 for run in runs for j in range(run.first, run.last + 1)]
     edges = sorted(cuts)
@@ -883,17 +934,22 @@ def _joint(fields: list[str], test: Callable[[dict], bool],
 
 def _probability(expr: OracleExpr, distributions: Mapping[str, FiniteDistribution]) -> Fraction:
     """Exact probability of ``expr``, factorized over independent fields; a
-    node over one string field with a plan is counted, not walked, and
-    integer fields are walked by cells."""
+    node over one string field with a plan is counted, not walked,
+    integer fields are walked by cells, and a leap-day year's runs are
+    counted by the Gregorian rule."""
     if isinstance(expr, Not):
         return 1 - _probability(expr.arg, distributions)
     if isinstance(expr, IsLeapDay) and len(_fields_of(expr)) == 3:
         tests = {expr.day: lambda x: x == 29, expr.month: lambda x: x == 2,
                  expr.year: lambda x: is_gregorian_leap_year(int(x))}
         cuts = _cuts(expr)
-        return math.prod(
-            _joint([f], lambda a, f=f: tests[f](_number(a[f], f)), distributions, cuts)
-            for f in tests)
+
+        def mass(f: str) -> Fraction:
+            runs = distributions[f]._compact
+            if f == expr.year and isinstance(runs, tuple) and not _past_exact(runs):
+                return sum(run.weight * (_leaps(run.last) - _leaps(run.first - 1)) for run in runs)
+            return _joint([f], lambda a: tests[f](_number(a[f], f)), distributions, cuts)
+        return math.prod(map(mass, tests))
     if isinstance(expr, (And, Or)) and len(split := _components(expr)) > 1:
         parts = [_probability(part, distributions) for part in split]
         if isinstance(expr, And):

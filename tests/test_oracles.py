@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from anonrepro import corpus, oracles
 from anonrepro.errors import (
@@ -52,6 +52,7 @@ from anonrepro.oracles import (
     technique_distribution,
 )
 from anonrepro.techniques import (
+    Chars,
     GlobalRecodingConfig,
     LengthPolicy,
     LocalSuppressionConfig,
@@ -567,6 +568,19 @@ def test_exhaustive_probability_counts_strings_and_never_lists_them(monkeypatch)
     test_exhaustive_probability_requires_all_fields_and_respects_cap()
 
 
+LETTERS = "abcdefghijklmnopqrstuvwxyz_"
+
+
+def test_a_long_suffix_is_one_leaf_and_counts_in_closed_form():
+    # the suffix's 12 char_at leaves share one state instead of 2**12
+    suffix = EndsWith("x", LETTERS[:12])
+    leaves = []
+    accepts = oracles._product(And((suffix, MatchesClass("x", "[a-z_]"))), 16, leaves)
+    assert len(leaves) == 1 and accepts((True,)) and not accepts((False,))
+    # lengths 0-16 are equally likely; the 5 from 12 on end with it at 27**-12
+    assert oracles._string_mass(suffix, Chars(LETTERS, 0, 16, "")) == Fraction(5, 17 * 27**12)
+
+
 # ---------------------------------------------------------------------------
 # integer supports as runs, walked by cells
 
@@ -628,6 +642,56 @@ def test_noise_runs_fixed_cases(value, low, high, max_inclusive, noise, values):
     assert dist._outcomes is None and dist._size() == len(values)
     assert [v.value for v, _ in dist.outcomes] == values
     assert typed(dist.outcomes) == typed(noise_reference(value, low, high, max_inclusive, noise))
+
+
+def fraction_noise_runs(value, low, high, noise, clamp):
+    """``_noise_runs`` in ``Fraction`` arithmetic: the same runs and weights
+    from the decimal-exact interval and its half-unit edges."""
+    noise_q, value_q = Fraction(repr(noise)), Fraction(value)
+    lo = value_q - noise_q * (value_q - Fraction(low))
+    hi = value_q + noise_q * (Fraction(high) - value_q)
+    width, half = hi - lo, Fraction(1, 2)
+    first, last = (min(max(math.floor(x + half), clamp[0]), clamp[1]) for x in (lo, hi))
+    if last > first and last - half >= hi:  # hi lies on last's lower edge
+        last -= 1
+    if first == last:
+        return (oracles._Run(first, last, Fraction(1)),)
+    inner = (oracles._Run(first + 1, last - 1, 1 / width),) if last - first > 1 else ()
+    return (oracles._Run(first, first, (first + half - lo) / width), *inner,
+            oracles._Run(last, last, (hi - (last - half)) / width))
+
+
+@st.composite
+def _wide_noise_cases(draw):
+    low = draw(st.one_of(
+        st.integers(-2**62, 2**62).map(float),
+        st.integers(-800, 800).map(lambda k: k / 8),
+        st.floats(-1e6, 1e6),
+    ))
+    high = low + draw(st.one_of(st.integers(1, 2**62).map(float), st.floats(0.5, 1e6)))
+    max_inclusive = draw(st.booleans())
+    try:
+        clamp = integer_bounds(low, high, max_inclusive)
+    except DegenerateIntervalError:
+        assume(False)
+    value = draw(st.one_of(st.sampled_from([low, high]),
+                           st.integers(*clamp).map(float)))
+    noise = draw(st.one_of(st.sampled_from(NOISES), st.floats(1e-9, 1.0)))
+    return value, low, high, max_inclusive, noise
+
+
+@given(_wide_noise_cases())
+@settings(max_examples=1000, deadline=None)
+@example((2.0**62, -2.0**62, 2.0**62, True, 0.123456789))
+@example((-2.0**62, -2.0**62, 2.0**62, False, 2**-10))
+@example((0.75, 0.75, 2.0**61, True, 1 / 3))
+@example((3.0, -7.25, 3.0, False, 1 / 3))
+def test_integer_noise_runs_equal_the_fraction_reference(case):
+    value, low, high, max_inclusive, noise = case
+    clamp = integer_bounds(low, high, max_inclusive)
+    runs = oracles._noise_runs(value, low, high, noise, clamp)
+    assert runs == fraction_noise_runs(value, low, high, noise, clamp)
+    assert all(type(run.weight) is Fraction for run in runs)
 
 
 def test_integer_distribution_lists_its_outcomes_only_when_read():
@@ -747,6 +811,63 @@ def test_exhaustive_probability_walks_integer_cells_and_never_lists_them(monkeyp
         assert exhaustive_probability(entry.oracle, distributions) == float(expected), key
     meds = fresh(*integer["did_i_take_my_meds#0"][:2])
     assert oracles._probability(integer["did_i_take_my_meds#0"][0].oracle.predicate, meds) == Fraction(1, 2)
+
+
+@st.composite
+def _year_runs(draw):
+    """Up to three disjoint runs of years, of any masses summing to 1."""
+    runs, start = [], draw(st.integers(-3000, 3000))
+    for _ in range(draw(st.integers(1, 3))):
+        last = start + draw(st.integers(0, 800))
+        runs.append((start, last, draw(st.integers(1, 9))))
+        start = last + 1 + draw(st.integers(0, 500))
+    total = sum(mass for _, _, mass in runs)
+    return tuple(oracles._Run(first, last, Fraction(mass, total * (last - first + 1)))
+                 for first, last, mass in runs)
+
+
+LEAP_DAY = IsLeapDay("d", "m", "y")
+
+
+@given(_year_runs())
+@settings(max_examples=300, deadline=None)
+@example((oracles._Run(-5, 4, Fraction(1, 10)),))  # across year 0, itself a leap year
+@example((oracles._Run(-400, -400, Fraction(1, 2)), oracles._Run(-100, -100, Fraction(1, 2))))
+@example((oracles._Run(1900, 1900, Fraction(1, 3)), oracles._Run(2000, 2001, Fraction(1, 3))))
+def test_leap_years_are_counted_per_run(runs):
+    point = FiniteDistribution(((Continuous(29.0, 0), Fraction(1)),))
+    distributions = {"d": point, "m": FiniteDistribution(((Continuous(2.0, 0), Fraction(1)),)),
+                     "y": FiniteDistribution._unlisted(runs)}
+    walked = sum(p for year, p in oracles._cells(runs, None)
+                 if oracles.is_gregorian_leap_year(int(year.value)))
+    assert oracles._probability(LEAP_DAY, distributions) == walked
+
+
+def test_birday_counts_its_leap_years_and_walks_no_year(monkeypatch):
+    entry = next(e for e in corpus.load_all() if e.name == "birday")
+    expected = {}
+    for index, cfg in enumerate(entry.configs):
+        try:
+            expected[index] = (cfg, point_walk(entry.oracle.predicate, {
+                field: technique_distribution(cfg, entry.original_assignment[field], domain)
+                for field, domain in entry.oracle.fields}))
+        except EnumerationInfeasibleError:
+            continue
+    assert 0 in expected and len(expected) >= 5
+
+    cells = oracles._cells
+
+    def walking(runs, cuts):
+        assert cuts is not None, f"walked the integers of {runs}"
+        return cells(runs, cuts)
+
+    monkeypatch.setattr(oracles, "_cells", walking)
+    for index, (cfg, walked) in expected.items():
+        distributions = {field: technique_distribution(cfg, entry.original_assignment[field], domain)
+                         for field, domain in entry.oracle.fields}
+        assert oracles._probability(entry.oracle.predicate, distributions) == walked, index
+        assert exhaustive_probability(entry.oracle, distributions) == float(walked), index
+    assert expected[0][1] == Fraction(25, 37200)
 
 
 # ---------------------------------------------------------------------------
