@@ -14,15 +14,14 @@ Exit codes: 0 success, 1 invalid input, 2 runtime failure.  With
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 import traceback
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from . import corpus, report as report_mod
 from .errors import (
@@ -46,6 +45,7 @@ from .model import (
     check_keys,
     check_type,
     decode_json,
+    dump_json,
     event_from_json,
     parse_trace,
     serialize_trace,
@@ -53,9 +53,11 @@ from .model import (
 )
 from .rng import substream
 from .techniques import (
+    NoiseAdditionConfig,
     TechniqueConfig,
-    anonymize,
+    anonymize_conforming,
     config_from_json,
+    draws,
     record_domain,
     record_from_json,
     record_to_json,
@@ -94,9 +96,19 @@ def _read_json(path: str) -> Any:
         return decode_json(text, ValidationError)
 
 
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """An output that cannot be written is bad input, as one that cannot be read."""
+    try:
+        yield
+    except (OSError, UnicodeEncodeError) as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +141,12 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                 if cfg is None:
                     raise ConfigError(f"no technique configured for widget {event.widget!r}")
                 value, domain = event.data
-                record = anonymize(value, domain, cfg, substream(args.seed, index))
+                # parse_trace checked the value; only noise addition draws
+                rng = substream(args.seed, index) if isinstance(cfg, NoiseAdditionConfig) else None
+                record = anonymize_conforming(value, domain, cfg, rng)
             item["record"] = record_to_json(record)
         events_out.append(item)
-    _write_text(
-        Path(args.out),
-        json.dumps({"events": events_out}, indent=2, ensure_ascii=False) + "\n",
-    )
+    _write_text(Path(args.out), dump_json({"events": events_out}))
     print(f"anonymized {len(trace.events)} event(s) -> {args.out}")
     return 0
 
@@ -155,7 +166,8 @@ def cmd_regenerate(args: argparse.Namespace) -> int:
                 raised: Counter = Counter()
                 with naming(f"event {index}"):
                     record = record_from_json(item["record"])
-                    value = regenerate(record, substream(args.seed, index), raised)
+                    rng = substream(args.seed, index) if draws(record) else None
+                    value = regenerate(record, rng, raised)
                 for needed in sorted(raised):
                     log.warning(
                         "event %d (widget %r): raising regenerated length to %d to fit "
@@ -252,7 +264,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rows = aggregate(reports)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, Sequence[Any]] = {"trials": reports, "aggregate": rows}
     if verifications:
         results["verification"] = verifications
@@ -263,7 +276,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for kind, items in results.items():
             written.append(out_dir / f"{kind}.{suffix}")
             if suffix == "csv":
-                report_mod.write_csv(kind, items, written[-1])
+                with _writing(written[-1]):
+                    report_mod.write_csv(kind, items, written[-1])
             else:
                 _write_text(written[-1], report_mod.results_table(kind, items))
 

@@ -30,6 +30,7 @@ from decimal import Decimal
 from enum import Enum, EnumMeta
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring
 from types import UnionType
 from typing import Any, Callable, Iterable, Mapping, Union, get_args, get_origin, get_type_hints
 
@@ -745,5 +746,85 @@ def parse_trace(text: str) -> FailureTrace:
 
 def serialize_trace(trace: FailureTrace) -> str:
     """Render a trace to canonical JSON text (stable across runs)."""
-    payload = {"events": [event_to_json(e) for e in trace.events]}
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return dump_json({"events": [event_to_json(e) for e in trace.events]})
+
+
+class _NotPlain(Exception):
+    """A value ``dump_json`` leaves to ``json.dumps``."""
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _dump(obj: Any, indent: str, out: list[str]) -> None:
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring(obj))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise _NotPlain
+            out.append(separator + encode_basestring(key) + ": ")
+            if type(value) is str:
+                out.append(encode_basestring(value))
+            else:
+                _dump(value, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for value in obj:
+            if type(value) is str:
+                out.append(separator + encode_basestring(value))
+            else:
+                out.append(separator)
+                _dump(value, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is float:
+        out.append(_float_text(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    else:
+        raise _NotPlain
+
+
+def dump_json(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"`` byte for byte:
+    the text ``anonymize`` and ``regenerate`` write.
+
+    json uses its C encoder only when ``indent`` is None; indented output
+    goes through its pure-Python encoder, built from generators, which takes
+    over twice as long as this writer on a trace.  This writer renders the
+    plain JSON types (exact ``str``, ``int``, ``float``, ``bool``, ``None``,
+    ``list``, ``tuple`` and ``dict`` with ``str`` keys) as that encoder does,
+    and leaves anything else, such as a non-``str`` key or a subclass, to
+    ``json.dumps`` for the whole payload.
+    """
+    out: list[str] = []
+    try:
+        _dump(obj, "", out)
+    except _NotPlain:
+        return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    out.append("\n")
+    return "".join(out)

@@ -663,15 +663,22 @@ def field_plan(value: DataValue, domain: DomainSpec, cfg: TechniqueConfig) -> Pl
     return draw_plan(anonymize_conforming(value, domain, cfg))
 
 
-def regenerate(record: AnonymizedRecord, rng: np.random.Generator,
+def regenerate(record: AnonymizedRecord, rng: np.random.Generator | None,
                length_raises: Counter | None = None) -> DataValue:
     """Draw a concrete value for ``record``; Concrete records are identity.
 
-    A special-character record whose drawn length cannot hold its specials
-    is regenerated at the specials' count.  That is logged as a warning, or,
-    when ``length_raises`` is given, counted there under the specials' count.
+    ``rng`` may be None when ``draws(record)`` is false.  A special-character
+    record whose drawn length cannot hold its specials is regenerated at the
+    specials' count.  That is logged as a warning, or, when ``length_raises``
+    is given, counted there under the specials' count.
     """
-    return draw(draw_plan(record), rng, length_raises)
+    return draw(draw_plan(record), rng, length_raises)  # type: ignore[arg-type]
+
+
+def draws(record: AnonymizedRecord) -> bool:
+    """Whether ``regenerate`` reads its stream for ``record``: every record
+    but a Concrete one, whose draw plan is a ``Constant``."""
+    return not isinstance(record, Concrete)
 
 
 # ---------------------------------------------------------------------------

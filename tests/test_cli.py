@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +227,80 @@ def test_regenerate_names_the_event_whose_length_it_raises(tmp_path, caplog):
     assert caplog.messages == [
         "event 1 (widget 'note'): raising regenerated length to 3 to fit special characters"
     ]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_mixed_trace_outputs_are_byte_stable(tmp_path):
+    # all five techniques, tuple and categorical fields, non-ASCII text
+    anon, regen = tmp_path / "anon.json", tmp_path / "regen.json"
+    assert cli.main([
+        "anonymize", "--trace", str(DATA / "mixed_trace.json"),
+        "--config", str(DATA / "mixed_config.json"), "--out", str(anon), "--seed", "7",
+    ]) == 0
+    assert anon.read_bytes() == (DATA / "mixed_anonymized.json").read_bytes()
+    assert cli.main([
+        "regenerate", "--trace", str(anon), "--out", str(regen), "--seed", "7",
+    ]) == 0
+    assert regen.read_bytes() == (DATA / "mixed_regenerated.json").read_bytes()
+
+
+def test_only_events_that_draw_build_a_stream(tmp_path, monkeypatch):
+    streams: list[int] = []
+    substream = cli.substream
+
+    def counting(seed, index):
+        streams.append(index)
+        return substream(seed, index)
+
+    monkeypatch.setattr(cli, "substream", counting)
+    trace, anon = str(DATA / "mixed_trace.json"), tmp_path / "anon.json"
+    config = json.loads((DATA / "mixed_config.json").read_text(encoding="utf-8"))
+    for widget in ("amount", "alarm"):  # noise addition becomes rounding
+        config["widgets"][widget] = {"technique": "rounding", "partitions": 3}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["anonymize", "--trace", trace, "--config", str(tmp_path / "config.json"),
+                     "--out", str(anon)]) == 0
+    assert streams == []
+    # keep the events whose records are concrete
+    events = json.loads(anon.read_text(encoding="utf-8"))["events"]
+    concrete = [e for e in events if e.get("record", {}).get("record") == "concrete"]
+    assert [e["widget"] for e in concrete] == ["amount", "quantity"]
+    anon.write_text(json.dumps({"events": concrete}))
+    assert cli.main(["regenerate", "--trace", str(anon),
+                     "--out", str(tmp_path / "regen.json")]) == 0
+    assert streams == []
+    # with noise addition, anonymize draws for those two events alone
+    assert cli.main(["anonymize", "--trace", trace, "--config", str(DATA / "mixed_config.json"),
+                     "--out", str(anon)]) == 0
+    assert streams == [1, 9]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["anonymize", "--trace", "trace.json", "--config", "config.json", "--out", "dir"],
+     "Is a directory"),
+    (["anonymize", "--trace", "trace.json", "--config", "config.json", "--out", "file/x.json"],
+     "File exists"),
+    (["simulate", "--config", "run.json", "--out", "file"], "File exists"),
+    (["anonymize", "--trace", "surrogate.json", "--config", "suppress.json", "--out", "o.json"],
+     "surrogates not allowed"),
+], ids=["out-is-a-directory", "out-under-a-file", "simulate-out-is-a-file", "lone-surrogate"])
+def test_an_output_that_cannot_be_written_exits_1(trace_files, monkeypatch, capsys, argv, words):
+    tmp_path = trace_files[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    run_config(tmp_path, oracles=["birday"], trials=2)
+    # a categorical label that UTF-8 cannot encode, kept in a suppressed record
+    (tmp_path / "surrogate.json").write_text(json.dumps({"events": [{
+        "action": "pick", "widget": "w", "data": {
+            "value": "\ud800", "domain": {"kind": "categorical", "categories": ["\ud800"]}}}]}))
+    (tmp_path / "suppress.json").write_text(json.dumps({"technique": "local_suppression"}))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot write " in err and words in err and "unexpected" not in err, err
+
 
 @pytest.mark.parametrize("argv", [
     ["anonymize", "--trace", "/nonexistent.json", "--config", "/c.json", "--out", "/o"],

@@ -1,6 +1,7 @@
 """Domains, values, conformance and the trace JSON codec."""
 from __future__ import annotations
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from anonrepro.model import (
     conforms,
     domain_from_json,
     domain_to_json,
+    dump_json,
     expand_char_class,
     float_precision,
     format_number,
@@ -318,6 +320,47 @@ def test_golden_trace_is_stable():
     date_value, date_domain = trace.events[4].data
     assert date_value.components[0] == Continuous(29)
     assert isinstance(date_domain, TupleDomain)
+
+
+# ---------------------------------------------------------------------------
+# the indented JSON writer
+
+JSON_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=())),  # lone surrogates too
+    st.sampled_from(["", "\ud800", "\x00\x1f\x7f", '"q" \\ \\"', "\u2028\u00e9\U0001f600"]),
+)
+JSON_SCALARS = st.one_of(
+    JSON_TEXT,
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.none(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_dump_json_writes_the_bytes_of_json_dumps(value):
+    assert dump_json(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_dump_json_leaves_a_non_string_key_to_json_dumps():
+    value = {"events": [{1: "one", None: [], 2.5: ("x",)}]}
+    text = dump_json(value)
+    assert text == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+    assert '"1": "one"' in text and '"null": []' in text and '"2.5": [' in text
 
 
 def test_parse_trace_bad_json_reports_position():
