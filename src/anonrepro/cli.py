@@ -36,7 +36,7 @@ from .harness import (
     TrialReport,
     VerificationResult,
     aggregate,
-    run_trials,
+    run_entry,
     verify_against_bruteforce,
 )
 from .model import (
@@ -107,8 +107,9 @@ def _writing(path: Path) -> Iterator[None]:
 
 def _write_text(path: Path, text: str) -> None:
     with _writing(path):
+        data = text.encode("utf-8")  # first: opening the file truncates it
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -231,41 +232,33 @@ def _run_simulation(
         entry = corpus.load(name)
         configs: Sequence[Any] = cfg["techniques"] or entry.configs
         with naming(f"oracle {entry.oracle.name!r}"):
-            for technique_cfg in configs:
-                reports.append(run_trials(
-                    entry.oracle,
-                    entry.original_assignment,
-                    technique_cfg,
-                    trials=cfg["trials"],
-                    seed=cfg["seed"],
-                    confidence=cfg["confidence"],
-                    workers=cfg["workers"],
-                ))
-                if cfg["verify"]:
-                    try:
-                        verifications.append(
-                            verify_against_bruteforce(
-                                entry.oracle,
-                                entry.original_assignment,
-                                technique_cfg,
-                                trials=max(cfg["trials"], VERIFY_MIN_TRIALS),
-                                seed=cfg["seed"],
-                                workers=cfg["workers"],
-                            )
+            reports += run_entry(entry, configs, trials=cfg["trials"], seed=cfg["seed"],
+                                 confidence=cfg["confidence"], workers=cfg["workers"])
+            for technique_cfg in configs if cfg["verify"] else ():
+                try:
+                    verifications.append(
+                        verify_against_bruteforce(
+                            entry.oracle,
+                            entry.original_assignment,
+                            technique_cfg,
+                            trials=max(cfg["trials"], VERIFY_MIN_TRIALS),
+                            seed=cfg["seed"],
+                            workers=cfg["workers"],
                         )
-                    except EnumerationInfeasibleError:
-                        skipped += 1
+                    )
+                except EnumerationInfeasibleError:
+                    skipped += 1
     return reports, verifications, skipped
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
+    out_dir = Path(args.out)
+    with _writing(out_dir):  # before the runs, so an unwritable --out fails at once
+        out_dir.mkdir(parents=True, exist_ok=True)
     reports, verifications, skipped = _run_simulation(cfg)
     rows = aggregate(reports)
 
-    out_dir = Path(args.out)
-    with _writing(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, Sequence[Any]] = {"trials": reports, "aggregate": rows}
     if verifications:
         results["verification"] = verifications

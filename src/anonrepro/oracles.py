@@ -660,13 +660,7 @@ def technique_distribution(
 
 def _fields_of(expr: OracleExpr) -> frozenset[str]:
     """Names of the fields a predicate reads."""
-    if isinstance(expr, (And, Or)):
-        return frozenset().union(*map(_fields_of, expr.args))
-    if isinstance(expr, Not):
-        return _fields_of(expr.arg)
-    if isinstance(expr, IsLeapDay):
-        return frozenset((expr.day, expr.month, expr.year))
-    return frozenset((expr.field,))
+    return frozenset(_cuts(expr))
 
 
 def _components(expr: And | Or) -> list[OracleExpr]:
@@ -939,10 +933,15 @@ def _probability(expr: OracleExpr, distributions: Mapping[str, FiniteDistributio
     counted by the Gregorian rule."""
     if isinstance(expr, Not):
         return 1 - _probability(expr.arg, distributions)
-    if isinstance(expr, IsLeapDay) and len(_fields_of(expr)) == 3:
+    if isinstance(expr, (And, Or)) and len(split := _components(expr)) > 1:
+        parts = [_probability(part, distributions) for part in split]
+        if isinstance(expr, And):
+            return math.prod(parts)
+        return 1 - math.prod(1 - p for p in parts)
+    cuts = _cuts(expr)
+    if isinstance(expr, IsLeapDay) and len(cuts) == 3:
         tests = {expr.day: lambda x: x == 29, expr.month: lambda x: x == 2,
                  expr.year: lambda x: is_gregorian_leap_year(int(x))}
-        cuts = _cuts(expr)
 
         def mass(f: str) -> Fraction:
             runs = distributions[f]._compact
@@ -950,15 +949,10 @@ def _probability(expr: OracleExpr, distributions: Mapping[str, FiniteDistributio
                 return sum(run.weight * (_leaps(run.last) - _leaps(run.first - 1)) for run in runs)
             return _joint([f], lambda a: tests[f](_number(a[f], f)), distributions, cuts)
         return math.prod(map(mass, tests))
-    if isinstance(expr, (And, Or)) and len(split := _components(expr)) > 1:
-        parts = [_probability(part, distributions) for part in split]
-        if isinstance(expr, And):
-            return math.prod(parts)
-        return 1 - math.prod(1 - p for p in parts)
-    fields = [f for f in distributions if f in _fields_of(expr)]
+    fields = [f for f in distributions if f in cuts]
     if len(fields) == 1 and isinstance(plan := distributions[fields[0]]._compact, Chars):
         return _string_mass(expr, plan)
-    return _joint(fields, functools.partial(evaluate_expr, expr), distributions, _cuts(expr))
+    return _joint(fields, functools.partial(evaluate_expr, expr), distributions, cuts)
 
 
 def _integer_weights(outcomes: tuple) -> tuple[int, list[tuple[DataValue, int]]]:

@@ -116,21 +116,25 @@ class RoundingConfig:
 
 
 @dataclass(frozen=True)
-class LocalSuppressionConfig:
+class _SuppressionConfig:
+    """The settings both suppression techniques share."""
+
     length_policy: LengthPolicy = LengthPolicy.RANDOM_IN_RANGE
     label: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "length_policy", LengthPolicy(self.length_policy))
+
+
+# Siblings: anonymize_conforming tests for LocalSuppressionConfig before the other.
+@dataclass(frozen=True)
+class LocalSuppressionConfig(_SuppressionConfig):
+    pass
 
 
 @dataclass(frozen=True)
-class SCDLocalSuppressionConfig:
-    length_policy: LengthPolicy = LengthPolicy.RANDOM_IN_RANGE
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "length_policy", LengthPolicy(self.length_policy))
+class SCDLocalSuppressionConfig(_SuppressionConfig):
+    pass
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ def config_summary(cfg: TechniqueConfig) -> str:
         return "hierarchy"
     if isinstance(cfg, (GlobalRecodingConfig, RoundingConfig)):
         return f"partitions={cfg.partitions}"
-    if isinstance(cfg, (LocalSuppressionConfig, SCDLocalSuppressionConfig)):
+    if isinstance(cfg, _SuppressionConfig):
         return f"length={cfg.length_policy.value}"
     if isinstance(cfg, NoiseAdditionConfig):
         return f"noise={cfg.noise:g}"
@@ -453,7 +457,7 @@ def draw(plan: Plan, rng: np.random.Generator, length_raises: Counter | None = N
     if isinstance(plan, Chars):
         return _draw_chars(plan, rng, length_raises)
     if isinstance(plan, Parts):
-        streams = split(rng, len(plan.plans))
+        streams = repeat(None) if rng is None else split(rng, len(plan.plans))
         return TupleValue(tuple(map(draw, plan.plans, streams, repeat(length_raises))))
     return plan.value
 
@@ -527,18 +531,19 @@ def rounding_anonymize(
 # suppression
 
 
+def _length_hint(value: DataValue, domain: DomainSpec, cfg: _SuppressionConfig) -> int | None:
+    """A string's length when ``cfg`` preserves it, else None."""
+    if isinstance(domain, StringDomain) and cfg.length_policy is LengthPolicy.PRESERVE_ORIGINAL:
+        return len(value.value)  # type: ignore[union-attr]
+    return None
+
+
 def local_suppression_anonymize(
     value: DataValue, domain: DomainSpec, cfg: LocalSuppressionConfig
 ) -> AnonymizedRecord:
     """Drop the value.  Strings keep their length when the policy says so;
     nothing else about the original survives."""
-    hint = None
-    if (
-        isinstance(domain, StringDomain)
-        and cfg.length_policy is LengthPolicy.PRESERVE_ORIGINAL
-    ):
-        hint = len(value.value)  # type: ignore[union-attr]
-    return Suppressed(domain, hint)
+    return Suppressed(domain, _length_hint(value, domain, cfg))
 
 
 def scd_local_suppression_anonymize(
@@ -550,12 +555,7 @@ def scd_local_suppression_anonymize(
             "special-character suppression applies to string values only"
         )
     assert isinstance(value, Text)
-    hint = (
-        len(value.value)
-        if cfg.length_policy is LengthPolicy.PRESERVE_ORIGINAL
-        else None
-    )
-    return SpecialChars(domain, special_characters(value.value), hint)
+    return SpecialChars(domain, special_characters(value.value), _length_hint(value, domain, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +677,9 @@ def regenerate(record: AnonymizedRecord, rng: np.random.Generator | None,
 
 def draws(record: AnonymizedRecord) -> bool:
     """Whether ``regenerate`` reads its stream for ``record``: every record
-    but a Concrete one, whose draw plan is a ``Constant``."""
+    but a Concrete one, whose draw plan is a ``Constant``, or a tuple of them."""
+    if isinstance(record, TupleRecord):
+        return any(map(draws, record.components))
     return not isinstance(record, Concrete)
 
 

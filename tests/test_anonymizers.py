@@ -50,6 +50,7 @@ from anonrepro.techniques import (
     config_from_json,
     config_summary,
     config_to_json,
+    draws,
     noise_interval,
     record_domain,
     record_from_json,
@@ -381,6 +382,16 @@ def test_tuple_regeneration_is_deterministic_per_stream():
     second = regenerate(record, rng(15))
     assert first == second
     assert record_domain(record) == DATE_DOMAIN
+
+
+def test_a_tuple_of_concrete_records_draws_nothing():
+    record = anonymize(DATE, DATE_DOMAIN, NoiseAdditionConfig(0.5), rng(16))
+    assert [type(c) for c in record.components] == [Concrete] * 3
+    assert not draws(record)
+    assert regenerate(record, None) == TupleValue(tuple(c.value for c in record.components))
+    assert regenerate(record, None) == regenerate(record, rng(17))
+    mixed = TupleRecord((Concrete(DAYS, Continuous(4)), Suppressed(DAYS)))
+    assert draws(mixed) and draws(mixed.components[1])
 
 
 def test_tuple_arity_mismatch_rejected():

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import anonrepro.cli as cli
-from anonrepro import corpus
+from anonrepro import corpus, harness
 from anonrepro.harness import TrialReport
-from anonrepro.model import parse_trace
+from anonrepro.model import dump_json, parse_trace
 from anonrepro.report import (
     aggregate_from_csv,
     aggregate_table,
@@ -277,6 +277,23 @@ def test_only_events_that_draw_build_a_stream(tmp_path, monkeypatch):
     assert streams == [1, 9]
 
 
+def test_a_tuple_of_concrete_records_regenerates_without_a_stream(tmp_path, monkeypatch):
+    streams: list[int] = []
+    substream = cli.substream
+    monkeypatch.setattr(cli, "substream",
+                        lambda seed, index: streams.append(index) or substream(seed, index))
+
+    def alarm(name):  # noise addition on a tuple field: each part is concrete
+        events = json.loads((DATA / name).read_text(encoding="utf-8"))["events"]
+        return [e for e in events if e["widget"] == "alarm"]
+
+    anon, regen = tmp_path / "anon.json", tmp_path / "regen.json"
+    anon.write_text(json.dumps({"events": alarm("mixed_anonymized.json")}))
+    assert cli.main(["regenerate", "--trace", str(anon), "--out", str(regen), "--seed", "7"]) == 0
+    assert streams == []
+    assert regen.read_text(encoding="utf-8") == dump_json({"events": alarm("mixed_regenerated.json")})
+
+
 @pytest.mark.parametrize("argv, words", [
     (["anonymize", "--trace", "trace.json", "--config", "config.json", "--out", "dir"],
      "Is a directory"),
@@ -300,6 +317,32 @@ def test_an_output_that_cannot_be_written_exits_1(trace_files, monkeypatch, caps
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert "error: cannot write " in err and words in err and "unexpected" not in err, err
+
+
+def test_an_output_that_cannot_be_encoded_keeps_the_old_file(tmp_path, capsys):
+    # a categorical label that UTF-8 cannot encode, kept in a suppressed record
+    trace, config, out = tmp_path / "trace.json", tmp_path / "suppress.json", tmp_path / "o.json"
+    trace.write_text(json.dumps({"events": [{
+        "action": "pick", "widget": "w", "data": {
+            "value": "\ud800", "domain": {"kind": "categorical", "categories": ["\ud800"]}}}]}))
+    config.write_text(json.dumps({"technique": "local_suppression"}))
+    out.write_text('{"events": []}\n', encoding="utf-8")
+    old = out.read_bytes()
+    assert cli.main(["anonymize", "--trace", str(trace), "--config", str(config),
+                     "--out", str(out)]) == 1
+    assert "surrogates not allowed" in capsys.readouterr().err
+    assert out.read_bytes() == old
+
+
+def test_simulate_checks_its_output_before_the_runs(tmp_path, monkeypatch, capsys):
+    def no_runs(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "_run_chunk", no_runs)
+    (tmp_path / "file").write_text("")
+    assert cli.main(["simulate", "--config", str(run_config(tmp_path)),
+                     "--out", str(tmp_path / "file")]) == 1
+    assert "error: cannot write " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

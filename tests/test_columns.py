@@ -166,6 +166,16 @@ def test_tape_words_are_the_raw_outputs():
             assert halves[:5, row].tolist() == stream.integers(0, 2**32, size=5).tolist()
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_block_across_2_to_the_32_draws_every_row_scalar(kind):
+    # its trials take one uint32 word and two: the block derives no states
+    original, domain, cfg = KINDS[kind]
+    trials = range(2**32 - 4, 2**32 + 4)
+    assert TrialBlock(5, trials, 1).states is None
+    scalar_rows = assert_column_is_scalar(original, domain, cfg, 5, trials, 1)
+    assert scalar_rows == (0 if kind == "concrete" else len(trials))
+
+
 def test_lemire_rejections_take_the_scalar_path():
     # integers(0, 2**31 + 2): a range of 2**31 + 1 rejects about half the words
     wide = NumericDomain(0, 2**31 + 1, integer=True)

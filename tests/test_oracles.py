@@ -264,6 +264,42 @@ def test_local_suppression_distribution_is_uniform_over_integers():
     assert all(math.isclose(p, 1 / 31) for _, p in dist.outcomes)
 
 
+AGES = CategoricalDomain(("child", "teen", "adult", "senior"),
+                         {"young": ("child", "teen"), "old": ("adult", "senior")})
+
+
+def test_categorical_distributions_are_uniform_over_their_labels():
+    recoded = technique_distribution(GlobalRecodingConfig(), Categorical("adult"), AGES)
+    assert recoded.outcomes == ((Categorical("adult"), Fraction(1, 2)),
+                                (Categorical("senior"), Fraction(1, 2)))
+    suppressed = technique_distribution(LocalSuppressionConfig(), Categorical("adult"), AGES)
+    assert suppressed.outcomes == tuple((Categorical(label), Fraction(1, 4))
+                                        for label in AGES.categories)
+
+
+@pytest.mark.parametrize("predicate", [
+    And((Equals("age", "teen"), InRange("day", 5, 20))),
+    # both branches read both fields: one joint walk, not a product of factors
+    Or((And((Equals("age", "teen"), InRange("day", 5, 20))),
+        And((Not(Equals("age", "child")), InRange("day", 12, 40))))),
+], ids=["and", "coupled-or"])
+@pytest.mark.parametrize("age_cfg, day_cfg", [
+    (GlobalRecodingConfig(), NoiseAdditionConfig(0.5)),
+    (LocalSuppressionConfig(), GlobalRecodingConfig(3)),
+], ids=["recoding-noise", "suppression-recoding"])
+def test_categorical_and_integer_fields_equal_the_joint_sum(predicate, age_cfg, day_cfg):
+    oracle = BugOracle("mixed", (("age", AGES), ("day", DAY)), predicate)
+    distributions = {"age": technique_distribution(age_cfg, Categorical("teen"), AGES),
+                     "day": technique_distribution(day_cfg, Continuous(17), DAY)}
+    brute = Fraction(0)
+    for (age, p), (day, q) in itertools.product(distributions["age"].outcomes,
+                                                distributions["day"].outcomes):
+        if evaluate(oracle, {"age": age, "day": day}):
+            brute += Fraction(p) * Fraction(q)
+    assert 0 < brute < 1
+    assert exhaustive_probability(oracle, distributions) == float(brute)
+
+
 def test_real_domains_are_not_enumerable():
     with pytest.raises(EnumerationInfeasibleError):
         technique_distribution(
